@@ -9,9 +9,10 @@
 //     inside the measured loop, not just steady-state cache hits.
 //
 // Every row carries an admission checksum - sum over requests of
-// (i+1) * (admitted ? 1 + cost : -1) - which is bit-deterministic, so the CI
-// artifact gate (nfvm-report --check) verifies that both paths keep taking
-// identical decisions on every run; timing / throughput columns (*_ms,
+// (i+1) * (admitted ? 1 + cost : -1) - and Online_CP's bound_pruned count,
+// both bit-deterministic, so the CI artifact gate (nfvm-report --check)
+// verifies that both paths keep taking identical decisions, and that the
+// bound keeps pruning, on every run; timing / throughput columns (*_ms,
 // *_time) are machine-dependent and only the speedup_vs_legacy ratio gates,
 // via an absolute floor (nfvm-report --min speedup_vs_legacy=0.95) rather
 // than a baseline-relative delta. Each mode runs twice with fresh algorithm
@@ -36,6 +37,10 @@ struct RunResult {
   std::size_t admitted = 0;
   double time_ms = 0.0;
   double checksum = 0.0;
+  // Online_CP candidates settled by the closure-MST bound without a server
+  // tree or KMB run (RequestRecord::bound_pruned); deterministic like the
+  // checksum, zero on rebuild rows, SP rows and under NFVM_OBS=0.
+  std::uint64_t bound_pruned = 0;
   // Summed per-phase wall-clock from the RequestRecord provenance, in ms
   // (all zero under NFVM_OBS=0). Timing columns never gate in CI.
   double classify_ms = 0.0;
@@ -67,6 +72,7 @@ RunResult run_sequence(Algo& algo, const std::vector<nfv::Request>& requests) {
       result.checksum -= static_cast<double>(i + 1);
     }
     if (const core::RequestRecord* rec = decision.record.get()) {
+      result.bound_pruned += rec->bound_pruned;
       result.classify_ms += rec->classify_us / 1000.0;
       result.closure_ms += rec->closure_us / 1000.0;
       result.eval_ms += rec->eval_us / 1000.0;
@@ -90,14 +96,15 @@ int main() {
   std::cout << "# micro: online admission fast path - incremental view + "
                "shared-closure scan vs per-request rebuild ("
             << num_requests << " requests, departures every 7th)\n";
-  std::cout << "# checksum / admitted columns are deterministic and gate in "
+  std::cout << "# checksum / admitted / bound_pruned columns are "
+               "deterministic and gate in "
                "CI; *_ms / *_time columns do not; speedup_vs_legacy gates "
                "via an absolute floor (--min)\n";
 
   util::Table table({"case", "mode", "n", "m", "requests", "admitted",
                      "time_ms", "req_per_s_time", "checksum",
-                     "speedup_vs_legacy", "classify_ms", "closure_ms",
-                     "eval_ms", "realize_ms", "patch_ms"});
+                     "speedup_vs_legacy", "bound_pruned", "classify_ms",
+                     "closure_ms", "eval_ms", "realize_ms", "patch_ms"});
 
   bool checksums_agree = true;
   std::map<std::string, double> speedups;
@@ -162,7 +169,8 @@ int main() {
       } else {
         table.add("-");
       }
-      table.add(r.classify_ms, 3)
+      table.add(r.bound_pruned)
+          .add(r.classify_ms, 3)
           .add(r.closure_ms, 3)
           .add(r.eval_ms, 3)
           .add(r.realize_ms, 3)

@@ -133,23 +133,78 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
   }
   NFVM_COUNTER_INC("core.online.closure_scans");
 
-  // Phase B: one shortest-path tree per distinct terminal for the WHOLE
-  // scan — O(|servers| + |D_k| + 1) Dijkstras instead of
-  // O(|servers| * (|D_k| + 2)) — primed in parallel through the view's
-  // tree cache.
-  std::vector<graph::VertexId> sources;
-  sources.reserve(1 + request.destinations.size() + eval.size());
-  sources.push_back(request.source);
-  sources.insert(sources.end(), request.destinations.begin(),
-                 request.destinations.end());
-  sources.insert(sources.end(), eval.begin(), eval.end());
+  // Phase B: shortest-path trees for T0 = {s_k} ∪ D_k, then a Steiner lower
+  // bound per candidate from those tables alone, then trees only for the
+  // candidates the bound cannot rule out — at most 1 + |D_k| + |survivors|
+  // Dijkstras instead of O(|servers| * (|D_k| + 2)), primed in parallel
+  // through the view's tree cache.
   NFVM_OBS_ONLY(phase_watch.reset();)
-  const auto trees = view_->trees_for(state_, sources, b);
+  std::vector<graph::VertexId> base;
+  base.reserve(1 + request.destinations.size());
+  base.push_back(request.source);
+  base.insert(base.end(), request.destinations.begin(),
+              request.destinations.end());
+  std::sort(base.begin(), base.end());
+  base.erase(std::unique(base.begin(), base.end()), base.end());
   TerminalTables tables(topo_->graph.num_vertices());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    tables.set(sources[i], trees[i]);
+  {
+    const auto trees = view_->trees_for(state_, base, b);
+    for (std::size_t i = 0; i < base.size(); ++i) tables.set(base[i], trees[i]);
   }
-  NFVM_OBS_ONLY(if (rec) rec->closure_us = phase_watch.elapsed_us();)
+
+  // Classify every candidate whose KMB outcome the base tables already
+  // decide, leaving its slot exactly as the KMB evaluation would have:
+  //   * disconnected — the filtered graph is undirected and eligibility is
+  //     symmetric, so KMB's connectivity test is "s_k reaches every other
+  //     terminal";
+  //   * over sigma_e — the closure-MST lower bound on KMB's weight already
+  //     reaches sigma_e (graph::kmb_weight_lower_bound).
+  // The replay loop then takes the same branches as for an evaluated slot.
+  std::vector<CpCandidateSlot> slots(eval.size());
+  std::vector<std::size_t> survivors;
+  std::vector<graph::VertexId> server_sources;
+  {
+    const graph::ShortestPaths& from_source = tables.from(request.source);
+    const bool dests_reachable = std::all_of(
+        request.destinations.begin(), request.destinations.end(),
+        [&](graph::VertexId d) { return from_source.reachable(d); });
+    std::optional<graph::ClosureMst> closure;
+    if (dests_reachable) {
+      std::vector<const graph::ShortestPaths*> base_tables;
+      for (graph::VertexId t : base) base_tables.push_back(&tables.from(t));
+      closure.emplace(base, base_tables);
+    }
+    const std::size_t n = view_->graph().num_vertices();
+    for (std::size_t i = 0; i < eval.size(); ++i) {
+      const graph::VertexId v = eval[i];
+      if (!dests_reachable || !from_source.reachable(v)) continue;
+      const bool in_base = tables.has(v);
+      const std::size_t l = closure->size() + (in_base ? 0 : 1);
+      if (l >= 2) {
+        const double mst = in_base ? closure->weight() : closure->weight_with(v);
+        if (graph::kmb_weight_lower_bound(mst, l, n) >= sigma_e_) {
+          slots[i].connected = true;
+          slots[i].over_sigma_e = true;
+          continue;
+        }
+      }
+      survivors.push_back(i);
+      if (!in_base) server_sources.push_back(v);
+    }
+  }
+  [[maybe_unused]] const std::size_t bound_pruned =
+      eval.size() - survivors.size();
+  NFVM_COUNTER_ADD("core.online_cp.bound_pruned", bound_pruned);
+  if (!server_sources.empty()) {
+    const auto trees = view_->trees_for(state_, server_sources, b);
+    for (std::size_t i = 0; i < server_sources.size(); ++i) {
+      tables.set(server_sources[i], trees[i]);
+    }
+  }
+  NFVM_OBS_ONLY(if (rec) {
+    rec->bound_pruned = bound_pruned;
+    rec->closure_us = phase_watch.elapsed_us();
+  })
   const std::function<const graph::ShortestPaths&(graph::VertexId)> table_for =
       [&tables](graph::VertexId v) -> const graph::ShortestPaths& {
     return tables.from(v);
@@ -160,11 +215,11 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
   // slot); the cost prune of the sequential scan is deliberately NOT applied
   // here — it only suppresses work, never changes the admitted candidate,
   // and the replay loop below re-applies it for reason parity.
-  std::vector<CpCandidateSlot> slots(eval.size());
   {
     NFVM_SPAN("online_cp/server_scan");
     NFVM_OBS_ONLY(phase_watch.reset();)
-    util::ThreadPool::global().parallel_for(eval.size(), [&](std::size_t i) {
+    util::ThreadPool::global().parallel_for(survivors.size(), [&](std::size_t k) {
+      const std::size_t i = survivors[k];
       const graph::VertexId v = eval[i];
       CpCandidateSlot& slot = slots[i];
 
@@ -199,7 +254,7 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
       slot.edges = std::move(st.edges);
     });
     NFVM_OBS_ONLY(if (rec) {
-      rec->servers_evaluated = eval.size();
+      rec->servers_evaluated = survivors.size();
       rec->eval_us = phase_watch.elapsed_us();
     })
   }

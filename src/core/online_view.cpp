@@ -125,34 +125,37 @@ OnlineWeightedView::trees_for(const nfv::ResourceState& state,
                               double b) {
   NFVM_SPAN("online/view_trees");
   std::vector<std::shared_ptr<const graph::ShortestPaths>> trees(sources.size());
-
-  if (!policy_incremental()) {
-    // Rebuild mode: no cache probe, no validity walk — one eligibility
-    // sweep and one batched masked SSSP for every slot. Bit-identical to
-    // the incremental path because a valid cached tree IS a fresh filtered
-    // Dijkstra (era invariant).
-    NFVM_COUNTER_INC("core.online.view_policy_rebuild");
-    build_eligibility_mask(state, b);
-    std::vector<graph::ShortestPaths> batch =
-        graph::batch_dijkstra(view_, sources, mask_);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      trees[i] =
-          std::make_shared<const graph::ShortestPaths>(std::move(batch[i]));
-    }
-    return trees;
-  }
-
-  NFVM_COUNTER_INC("core.online.view_policy_incremental");
-  std::vector<std::size_t> missing;
+  // first[i]: the first slot holding sources[i]. Only first occurrences are
+  // looked up or computed; repeated slots copy that slot's tree at the end.
+  // Source lists are short (terminals plus servers), so a linear scan
+  // suffices and allocates nothing.
+  std::vector<std::size_t> first(sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    // A repeated source lands in `missing` more than once before the first
-    // computation is cached; the slots get identical trees either way.
-    auto cached = cache_.try_get(view_, sources[i]);
-    if (cached && tree_valid(state, sources[i], *cached, b)) {
-      trees[i] = std::move(cached);
-    } else {
-      missing.push_back(i);
+    first[i] = static_cast<std::size_t>(
+        std::find(sources.begin(), sources.begin() + i, sources[i]) -
+        sources.begin());
+  }
+  std::vector<std::size_t> missing;
+  const bool incremental = policy_incremental();
+  if (incremental) {
+    NFVM_COUNTER_INC("core.online.view_policy_incremental");
+  } else {
+    // Rebuild mode: no cache probe, no validity walk — one eligibility
+    // sweep and one batched masked SSSP for every distinct source.
+    // Bit-identical to the incremental path because a valid cached tree IS
+    // a fresh filtered Dijkstra (era invariant).
+    NFVM_COUNTER_INC("core.online.view_policy_rebuild");
+  }
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    if (first[i] != i) continue;
+    if (incremental) {
+      auto cached = cache_.try_get(view_, sources[i]);
+      if (cached && tree_valid(state, sources[i], *cached, b)) {
+        trees[i] = std::move(cached);
+        continue;
+      }
     }
+    missing.push_back(i);
   }
   if (!missing.empty()) {
     build_eligibility_mask(state, b);
@@ -166,6 +169,8 @@ OnlineWeightedView::trees_for(const nfv::ResourceState& state,
           std::make_shared<const graph::ShortestPaths>(std::move(batch[j]));
     }
   }
+  for (std::size_t i = 0; i < sources.size(); ++i) trees[i] = trees[first[i]];
+  if (!incremental) return trees;
   // Insert in `sources` order so cache state is thread-count independent.
   for (std::size_t i : missing) {
     cache_.put(view_, sources[i], trees[i]);

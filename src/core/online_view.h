@@ -96,7 +96,8 @@ class OnlineWeightedView {
   /// guarantees bit-identity with a fresh filtered Dijkstra; the misses are
   /// computed in parallel on util::ThreadPool::global() and inserted in
   /// `sources` order, so results and cache state are thread-count
-  /// independent. Repeated sources yield identical trees in each slot.
+  /// independent. Each distinct source is looked up or computed once per
+  /// call; repeated slots share that one tree.
   std::vector<std::shared_ptr<const graph::ShortestPaths>> trees_for(
       const nfv::ResourceState& state, std::span<const graph::VertexId> sources,
       double b);

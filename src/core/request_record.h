@@ -47,6 +47,11 @@ struct RequestRecord {
   std::uint64_t servers_eligible = 0;
   /// Tree/path evaluations actually performed.
   std::uint64_t servers_evaluated = 0;
+  /// Online_CP fast path: eligible servers settled (disconnected, or over
+  /// sigma_e by the closure-MST lower bound) from the source and destination
+  /// tables alone, with no server tree and no KMB run. For Online_CP,
+  /// servers_evaluated + bound_pruned == servers_eligible.
+  std::uint64_t bound_pruned = 0;
   /// Passed every feasibility check (each one improved on the best so far).
   std::uint64_t candidates_feasible = 0;
   /// The admitted candidate's server; -1 when rejected.

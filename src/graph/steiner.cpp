@@ -183,6 +183,69 @@ SteinerResult kmb_steiner_from_tables(
   return kmb_from_terminal_tables(g, terms, tables);
 }
 
+ClosureMst::ClosureMst(std::span<const VertexId> base,
+                       std::span<const ShortestPaths* const> tables)
+    : tables_(tables.begin(), tables.end()) {
+  // Prim on the |T0| x |T0| closure matrix.
+  const std::size_t t = base.size();
+  const auto dist = [&](std::size_t i, std::size_t j) {
+    return std::min(tables_[i]->dist[base[j]], tables_[j]->dist[base[i]]);
+  };
+  std::vector<bool> in_tree(t, false);
+  std::vector<double> best(t, kInfiniteDistance);
+  std::vector<std::size_t> best_from(t, 0);
+  for (std::size_t step = 0; step < t; ++step) {
+    std::size_t pick = t;
+    for (std::size_t i = 0; i < t; ++i) {
+      if (!in_tree[i] && (pick == t || best[i] < best[pick])) pick = i;
+    }
+    in_tree[pick] = true;
+    if (step > 0) edges_.push_back({best_from[pick], pick, best[pick]});
+    for (std::size_t j = 0; j < t; ++j) {
+      if (in_tree[j]) continue;
+      const double d = dist(pick, j);
+      if (d < best[j]) {
+        best[j] = d;
+        best_from[j] = pick;
+      }
+    }
+  }
+  for (const ClosureEdge& e : edges_) weight_ += e.w;
+}
+
+double ClosureMst::weight_with(VertexId v) const {
+  // Kruskal over MST(T0) plus v's column; v is vertex index t.
+  const std::size_t t = tables_.size();
+  std::vector<ClosureEdge> candidates = edges_;
+  for (std::size_t i = 0; i < t; ++i) {
+    const double d = tables_[i]->dist[v];
+    if (!(d < kInfiniteDistance)) return kInfiniteDistance;
+    candidates.push_back({i, t, d});
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const ClosureEdge& x, const ClosureEdge& y) { return x.w < y.w; });
+  UnionFind uf(t + 1);
+  double weight = 0.0;
+  for (const ClosureEdge& e : candidates) {
+    if (uf.unite(e.a, e.b)) weight += e.w;
+  }
+  return weight;
+}
+
+double kmb_weight_lower_bound(double closure_mst_weight,
+                              std::size_t num_terminals,
+                              std::size_t num_vertices) {
+  // Rounding: every table distance is a float path sum of at most |V| - 1
+  // non-negative terms (<= (1 + u)^{|V|} times the exact distance), the MST
+  // adds at most |T| - 1 <= |V| more roundings, and KMB's weight is a float
+  // sum that may undershoot its exact value by another (1 - u)^{|V|}. That
+  // is about 3 |V| u in total, plus a few for this arithmetic; 8 |V| u
+  // leaves a factor of two to spare. u = 2^-53.
+  const double l = static_cast<double>(num_terminals);
+  const double margin = 8.0 * static_cast<double>(num_vertices) * 0x1p-53;
+  return closure_mst_weight * l / (2.0 * (l - 1.0)) * (1.0 - margin);
+}
+
 SteinerResult improve_steiner(const Graph& g, SteinerResult current,
                               std::span<const VertexId> terminals,
                               std::size_t max_rounds) {

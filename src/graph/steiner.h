@@ -51,6 +51,52 @@ SteinerResult kmb_steiner_from_tables(
     const Graph& g, std::span<const VertexId> terminals,
     const std::function<const ShortestPaths&(VertexId)>& table_for);
 
+/// Metric-closure MST over a fixed base terminal set T0, built once from
+/// the base terminals' shortest-path tables, that prices T0 ∪ {v} for any
+/// extra vertex v without a table rooted at v. The graph is undirected, so
+/// the column dist_t[v] (t ∈ T0) holds every closure edge incident to v,
+/// and by the cycle property MST(T0 ∪ {v}) ⊆ MST(T0) ∪ {(t, v) : t ∈ T0}:
+/// Kruskal over those 2|T0| - 1 edges gives the full closure MST weight in
+/// O(|T0| log |T0|). A pair inside T0 is priced at the min of its two table
+/// entries (path sums may round differently in the two directions).
+class ClosureMst {
+ public:
+  /// `tables[i]` is the shortest-path tree rooted at `base[i]`. Base
+  /// vertices must be distinct and mutually reachable; the tables must
+  /// outlive this object.
+  ClosureMst(std::span<const VertexId> base,
+             std::span<const ShortestPaths* const> tables);
+
+  /// |T0|.
+  std::size_t size() const noexcept { return tables_.size(); }
+  /// Weight of MST(T0).
+  double weight() const noexcept { return weight_; }
+  /// Weight of MST(T0 ∪ {v}) for v ∉ T0; infinite when v is unreachable
+  /// from T0.
+  double weight_with(VertexId v) const;
+
+ private:
+  struct ClosureEdge {
+    std::size_t a = 0;
+    std::size_t b = 0;
+    double w = 0.0;
+  };
+  std::vector<const ShortestPaths*> tables_;
+  std::vector<ClosureEdge> edges_;  // MST(T0)
+  double weight_ = 0.0;
+};
+
+/// Lower bound on the weight KMB returns for `num_terminals` >= 2 distinct
+/// terminals whose closure MST, computed from the same graph's
+/// shortest-path tables, weighs `closure_mst_weight`:
+///   MST <= 2 (1 - 1/l) OPT <= 2 (1 - 1/l) KMB,
+/// scaled down by a rounding margin of 8 |V| 2^-53 that covers the path
+/// sums, the MST sum and KMB's own sum (docs/performance.md, "Bound-pruned
+/// server scan"). Edge weights must be non-negative.
+double kmb_weight_lower_bound(double closure_mst_weight,
+                              std::size_t num_terminals,
+                              std::size_t num_vertices);
+
 /// Takahashi-Matsuyama (1980) path-heuristic: grow the tree from one
 /// terminal, repeatedly attaching the closest unconnected terminal via a
 /// shortest path (multi-source Dijkstra from the current tree). Same

@@ -54,7 +54,8 @@ std::string write_fixture_log(const std::string& name) {
         .field("phase_view_patch_us", total_us * 0.05)
         .field("servers_total", std::uint64_t{6})
         .field("servers_eligible", std::uint64_t{5})
-        .field("servers_evaluated", std::uint64_t{5})
+        .field("servers_evaluated", std::uint64_t{3})
+        .field("bound_pruned", std::uint64_t{2})
         .field("candidates_feasible", std::uint64_t{admitted ? 1 : 0});
     if (admitted) line.field("chosen_server", std::int64_t{4});
     log.write(line);
@@ -181,6 +182,9 @@ TEST(RequestEvents, ExplainPrintsAdmittedAndRejected) {
   write_explain(rejected, events[2]);
   EXPECT_NE(rejected.str().find("REJECTED"), std::string::npos);
   EXPECT_NE(rejected.str().find("threshold"), std::string::npos);
+  // The scan funnel line carries the bound-pruned candidates.
+  EXPECT_NE(rejected.str().find("eligible=5 evaluated=3 bound_pruned=2"),
+            std::string::npos);
 }
 
 TEST(RequestEvents, DecisionsProjectionIsTimingFree) {

@@ -1,12 +1,17 @@
 // The online admission fast path: trace equivalence between the incremental
 // (patched weighted view + shared-closure scan) and legacy rebuild paths,
-// OnlineWeightedView patch/era semantics, keyed SpCache invalidation, the
-// table-driven KMB entry points, and RejectTracker precedence.
+// Online_CP's bound-pruned server scan, OnlineWeightedView patch/era
+// semantics, keyed SpCache invalidation, the table-driven KMB entry points,
+// and RejectTracker precedence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/cost_model.h"
 #include "core/online.h"
 #include "core/online_cp.h"
 #include "core/online_sp.h"
@@ -14,12 +19,23 @@
 #include "graph/dijkstra.h"
 #include "graph/steiner.h"
 #include "nfv/resources.h"
+#include "obs/metrics.h"
 #include "sim/request_gen.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace nfvm::core {
 namespace {
+
+std::uint64_t counter_value(const std::string& name) {
+  return obs::Registry::global().counter(name)->value();
+}
+
+/// Restores the global pool to single-threaded when a test exits.
+struct GlobalThreadsGuard {
+  ~GlobalThreadsGuard() { util::ThreadPool::set_global_threads(1); }
+};
 
 // ---------------------------------------------------------------------------
 // Trace equivalence: fast path vs rebuild path
@@ -113,6 +129,35 @@ TEST(OnlineFastPath, SpTraceEquivalenceWithDepartures) {
   run_trace_equivalence(fast, rebuild, 80);
 }
 
+TEST(OnlineFastPath, CpBoundPrunedScanMatchesRebuildWhenSaturated) {
+  // Long enough on a small Waxman graph that links saturate and sigma_e
+  // binds, so many candidates are settled by the closure-MST bound without
+  // a server tree or a KMB run. The decision stream must still match the
+  // exhaustive rebuild scan at every thread count.
+  GlobalThreadsGuard guard;
+  util::Rng rng(95);
+  topo::WaxmanOptions wo;
+  wo.target_mean_degree = 4.0;  // sparse, as nfvm-sim builds it
+  const topo::Topology topo = topo::make_waxman(100, rng, wo);
+  OnlineCpOptions rebuild_opts;
+  rebuild_opts.incremental_view = false;
+  for (const std::size_t threads : {1, 4}) {
+    util::ThreadPool::set_global_threads(threads);
+    const std::uint64_t pruned_before = counter_value("core.online_cp.bound_pruned");
+    OnlineCp fast(topo);
+    OnlineCp rebuild(topo, rebuild_opts);
+    run_trace_equivalence(fast, rebuild, 300);
+    EXPECT_GT(fast.num_rejected(), 0u) << "threads " << threads;
+#if NFVM_OBS
+    // Not vacuous: the pruned branch actually ran.
+    EXPECT_GT(counter_value("core.online_cp.bound_pruned"), pruned_before)
+        << "threads " << threads;
+#else
+    (void)pruned_before;
+#endif
+  }
+}
+
 TEST(OnlineFastPath, NonKmbEngineFallsBackToRebuildPath) {
   // A non-KMB Steiner engine must keep working (and agree with an explicit
   // rebuild configuration) even though it cannot use the shared closure.
@@ -128,8 +173,128 @@ TEST(OnlineFastPath, NonKmbEngineFallsBackToRebuildPath) {
 }
 
 // ---------------------------------------------------------------------------
+// The closure-MST lower bound behind the pruned scan
+// ---------------------------------------------------------------------------
+
+/// Closure MST weight over `terms` from scratch (Prim on the full matrix,
+/// each pair priced at the min of its two table entries).
+double closure_mst_from_scratch(
+    const std::vector<graph::VertexId>& terms,
+    const std::vector<std::shared_ptr<const graph::ShortestPaths>>& tables) {
+  const std::size_t t = terms.size();
+  std::vector<bool> in_tree(t, false);
+  std::vector<double> best(t, graph::kInfiniteDistance);
+  best[0] = 0.0;
+  double weight = 0.0;
+  for (std::size_t step = 0; step < t; ++step) {
+    std::size_t pick = t;
+    for (std::size_t i = 0; i < t; ++i) {
+      if (!in_tree[i] && (pick == t || best[i] < best[pick])) pick = i;
+    }
+    in_tree[pick] = true;
+    weight += best[pick];
+    for (std::size_t j = 0; j < t; ++j) {
+      const double d = std::min(tables[terms[pick]]->dist[terms[j]],
+                                tables[terms[j]]->dist[terms[pick]]);
+      if (!in_tree[j] && d < best[j]) best[j] = d;
+    }
+  }
+  return weight;
+}
+
+TEST(ClosureMstBound, InsertionMatchesScratchAndBoundsKmbOnLoadedStates) {
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Rng rng(700 + seed);
+    const topo::Topology topo = topo::make_waxman(60, rng);
+    const std::size_t n = topo.graph.num_vertices();
+    nfv::ResourceState state(topo);
+    // A random loaded state: every link carries a random share of its
+    // capacity, so Online_CP's exponential weights spread over orders of
+    // magnitude and some links drop below the request bandwidth.
+    for (graph::EdgeId e = 0; e < topo.graph.num_edges(); ++e) {
+      nfv::Footprint fp;
+      fp.bandwidth = {
+          {e, rng.uniform_real(0.0, 0.97) * state.bandwidth_capacity(e)}};
+      state.allocate(fp);
+    }
+    const ExponentialCostModel model = ExponentialCostModel::paper_default(n);
+    OnlineWeightedView view(
+        topo, [&](graph::EdgeId e) { return model.edge_weight(e, state); });
+    const double b = rng.uniform_real(10.0, 120.0);
+    std::vector<graph::VertexId> all(n);
+    for (graph::VertexId v = 0; v < n; ++v) all[v] = v;
+    const auto tables = view.trees_for(state, all, b);
+    const auto table_for =
+        [&](graph::VertexId v) -> const graph::ShortestPaths& { return *tables[v]; };
+
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::size_t dests =
+          static_cast<std::size_t>(rng.uniform_int(1, 12));
+      const std::vector<std::size_t> picks =
+          rng.sample_without_replacement(n, dests + 1);
+      const graph::VertexId source = static_cast<graph::VertexId>(picks[0]);
+      std::vector<graph::VertexId> base(picks.begin(), picks.end());
+      std::sort(base.begin(), base.end());
+      if (!std::all_of(base.begin(), base.end(), [&](graph::VertexId t) {
+            return tables[source]->reachable(t);
+          })) {
+        continue;
+      }
+      std::vector<const graph::ShortestPaths*> base_tables;
+      for (graph::VertexId t : base) base_tables.push_back(tables[t].get());
+      const graph::ClosureMst closure(base, base_tables);
+      EXPECT_NEAR(closure.weight(), closure_mst_from_scratch(base, tables),
+                  1e-9 * closure.weight());
+
+      for (graph::VertexId v = 0; v < n; ++v) {
+        if (!tables[source]->reachable(v)) continue;
+        const bool in_base = std::binary_search(base.begin(), base.end(), v);
+        std::vector<graph::VertexId> terms = base;
+        if (!in_base) terms.push_back(v);
+        const double mst = in_base ? closure.weight() : closure.weight_with(v);
+        EXPECT_NEAR(mst, closure_mst_from_scratch(terms, tables),
+                    1e-9 * mst)
+            << "seed " << seed << " v " << v;
+        if (terms.size() < 2) continue;
+        const double lb = graph::kmb_weight_lower_bound(mst, terms.size(), n);
+        const graph::SteinerResult st =
+            graph::kmb_steiner_from_tables(view.graph(), terms, table_for);
+        ASSERT_TRUE(st.connected);
+        EXPECT_LE(lb, st.weight) << "seed " << seed << " v " << v;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST(ClosureMstBound, UnreachableInsertionIsInfinite) {
+  graph::Graph g(3);
+  g.add_edge(0, 1, 2.0);
+  const graph::ShortestPaths from0 = graph::dijkstra(g, 0);
+  const graph::ShortestPaths from1 = graph::dijkstra(g, 1);
+  const std::vector<graph::VertexId> base = {0, 1};
+  const std::vector<const graph::ShortestPaths*> base_tables = {&from0, &from1};
+  const graph::ClosureMst closure(base, base_tables);
+  EXPECT_EQ(closure.weight(), 2.0);
+  EXPECT_EQ(closure.weight_with(2), graph::kInfiniteDistance);
+}
+
+TEST(ClosureMstBound, MarginOnlyShavesRounding) {
+  // Two terminals: KMB is the shortest path, so the bound is the MST itself
+  // less the rounding margin 8 |V| 2^-53.
+  const double lb = graph::kmb_weight_lower_bound(10.0, 2, 400);
+  EXPECT_LT(lb, 10.0);
+  EXPECT_GT(lb, 10.0 * (1.0 - 1e-12));
+  // l terminals: MST * l / (2 (l - 1)).
+  EXPECT_NEAR(graph::kmb_weight_lower_bound(12.0, 4, 400), 8.0, 1e-11);
+}
+
+// ---------------------------------------------------------------------------
 // OnlineWeightedView: patching, keyed invalidation, eras
 // ---------------------------------------------------------------------------
+
 
 /// Triangle 0-1-2 (0-2 direct more expensive than 0-1 + 1-2) plus a tail
 /// 2-3: the tree from 1 never contains edge 0-2, the tree from 0 does.
@@ -273,6 +438,32 @@ TEST(OnlineWeightedView, IneligibleTreeEdgeForcesRecompute) {
       });
   EXPECT_EQ(after[0]->dist, fresh.dist);
   EXPECT_EQ(after[0]->parent_edge, fresh.parent_edge);
+}
+
+TEST(OnlineWeightedView, RepeatedSourcesRunOneDijkstraEach) {
+  const topo::Topology topo = triangle_tail_topology();
+  nfv::ResourceState state(topo);
+  const std::vector<graph::VertexId> sources = {0, 2, 0, 3, 2, 2};
+  for (const ViewPolicy policy :
+       {ViewPolicy::kForceIncremental, ViewPolicy::kForceRebuild}) {
+    OnlineWeightedView view(
+        topo, [&](graph::EdgeId e) { return topo.graph.weight(e); });
+    view.set_policy(policy);
+    const std::uint64_t runs_before = counter_value("graph.dijkstra.runs");
+    const auto trees = view.trees_for(state, sources, 50.0);
+#if NFVM_OBS
+    EXPECT_EQ(counter_value("graph.dijkstra.runs") - runs_before, 3u);
+#else
+    (void)runs_before;
+#endif
+    ASSERT_EQ(trees.size(), sources.size());
+    EXPECT_EQ(trees[2].get(), trees[0].get());
+    EXPECT_EQ(trees[4].get(), trees[1].get());
+    EXPECT_EQ(trees[5].get(), trees[1].get());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      EXPECT_EQ(trees[i]->source, sources[i]);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

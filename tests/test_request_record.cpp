@@ -72,6 +72,14 @@ TEST(RequestRecord, PopulatedForEveryAlgorithm) {
       EXPECT_EQ(rec.servers_total, topo.servers.size()) << name;
       EXPECT_GE(rec.servers_total, rec.servers_eligible) << name;
       EXPECT_GE(rec.servers_eligible, rec.servers_evaluated) << name;
+      if (name == "Online_CP") {
+        // Funnel: every eligible server is either evaluated (KMB run) or
+        // settled by the bound-pruned scan from the terminal tables.
+        EXPECT_EQ(rec.servers_evaluated + rec.bound_pruned,
+                  rec.servers_eligible);
+      } else {
+        EXPECT_EQ(rec.bound_pruned, 0u) << name;
+      }
       EXPECT_GT(rec.total_us, 0.0) << name;
       EXPECT_GE(rec.eval_us, 0.0) << name;
       // Disjoint phases must fit inside the whole call.
