@@ -9,10 +9,11 @@
 //     inside the measured loop, not just steady-state cache hits.
 //
 // Every row carries an admission checksum - sum over requests of
-// (i+1) * (admitted ? 1 + cost : -1) - and Online_CP's bound_pruned count,
-// both bit-deterministic, so the CI artifact gate (nfvm-report --check)
-// verifies that both paths keep taking identical decisions, and that the
-// bound keeps pruning, on every run; timing / throughput columns (*_ms,
+// (i+1) * (admitted ? 1 + cost : -1) - and Online_CP's bound_pruned and
+// server_rows counts, all bit-deterministic, so the CI artifact gate
+// (nfvm-report --check) verifies that both paths keep taking identical
+// decisions, that the bound keeps pruning, and that KMB keeps fetching only
+// the server rows it needs, on every run; timing / throughput columns (*_ms,
 // *_time) are machine-dependent and only the speedup_vs_legacy ratio gates,
 // via an absolute floor (nfvm-report --min speedup_vs_legacy=0.95) rather
 // than a baseline-relative delta. Each mode runs twice with fresh algorithm
@@ -41,6 +42,9 @@ struct RunResult {
   // tree or KMB run (RequestRecord::bound_pruned); deterministic like the
   // checksum, zero on rebuild rows, SP rows and under NFVM_OBS=0.
   std::uint64_t bound_pruned = 0;
+  // Lazy server rows Online_CP's KMB runs fetched (RequestRecord::
+  // server_rows); deterministic, zero where bound_pruned is.
+  std::uint64_t server_rows = 0;
   // Summed per-phase wall-clock from the RequestRecord provenance, in ms
   // (all zero under NFVM_OBS=0). Timing columns never gate in CI.
   double classify_ms = 0.0;
@@ -73,6 +77,7 @@ RunResult run_sequence(Algo& algo, const std::vector<nfv::Request>& requests) {
     }
     if (const core::RequestRecord* rec = decision.record.get()) {
       result.bound_pruned += rec->bound_pruned;
+      result.server_rows += rec->server_rows;
       result.classify_ms += rec->classify_us / 1000.0;
       result.closure_ms += rec->closure_us / 1000.0;
       result.eval_ms += rec->eval_us / 1000.0;
@@ -96,15 +101,16 @@ int main() {
   std::cout << "# micro: online admission fast path - incremental view + "
                "shared-closure scan vs per-request rebuild ("
             << num_requests << " requests, departures every 7th)\n";
-  std::cout << "# checksum / admitted / bound_pruned columns are "
-               "deterministic and gate in "
+  std::cout << "# checksum / admitted / bound_pruned / server_rows columns "
+               "are deterministic and gate in "
                "CI; *_ms / *_time columns do not; speedup_vs_legacy gates "
                "via an absolute floor (--min)\n";
 
   util::Table table({"case", "mode", "n", "m", "requests", "admitted",
                      "time_ms", "req_per_s_time", "checksum",
-                     "speedup_vs_legacy", "bound_pruned", "classify_ms",
-                     "closure_ms", "eval_ms", "realize_ms", "patch_ms"});
+                     "speedup_vs_legacy", "bound_pruned", "server_rows",
+                     "classify_ms", "closure_ms", "eval_ms", "realize_ms",
+                     "patch_ms"});
 
   bool checksums_agree = true;
   std::map<std::string, double> speedups;
@@ -170,6 +176,7 @@ int main() {
         table.add("-");
       }
       table.add(r.bound_pruned)
+          .add(r.server_rows)
           .add(r.classify_ms, 3)
           .add(r.closure_ms, 3)
           .add(r.eval_ms, 3)

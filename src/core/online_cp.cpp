@@ -1,11 +1,14 @@
 #include "core/online_cp.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/delay.h"
 #include "core/shared_closure.h"
+#include "graph/sp_engine.h"
 #include "graph/steiner.h"
 #include "graph/subgraph.h"
 #include "graph/tree.h"
@@ -85,6 +88,7 @@ struct CpCandidateSlot {
   double cost = 0.0;
   double steiner_weight = 0.0;  // st.weight share of cost, for provenance
   std::vector<graph::EdgeId> edges;  // physical ids
+  bool server_row_fetched = false;  // KMB fetched this server's lazy row
 };
 
 }  // namespace
@@ -133,11 +137,11 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
   }
   NFVM_COUNTER_INC("core.online.closure_scans");
 
-  // Phase B: shortest-path trees for T0 = {s_k} ∪ D_k, then a Steiner lower
-  // bound per candidate from those tables alone, then trees only for the
-  // candidates the bound cannot rule out — at most 1 + |D_k| + |survivors|
-  // Dijkstras instead of O(|servers| * (|D_k| + 2)), primed in parallel
-  // through the view's tree cache.
+  // Phase B: shortest-path trees for T0 = {s_k} ∪ D_k (one trees_for call,
+  // primed in parallel through the view's tree cache), then a Steiner lower
+  // bound per candidate from those tables alone. No server gets a tree
+  // here: Phase C's KMB fetches a server's row lazily, and only as far as
+  // it needs it.
   NFVM_OBS_ONLY(phase_watch.reset();)
   std::vector<graph::VertexId> base;
   base.reserve(1 + request.destinations.size());
@@ -162,7 +166,6 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
   // The replay loop then takes the same branches as for an evaluated slot.
   std::vector<CpCandidateSlot> slots(eval.size());
   std::vector<std::size_t> survivors;
-  std::vector<graph::VertexId> server_sources;
   {
     const graph::ShortestPaths& from_source = tables.from(request.source);
     const bool dests_reachable = std::all_of(
@@ -189,32 +192,28 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
         }
       }
       survivors.push_back(i);
-      if (!in_base) server_sources.push_back(v);
     }
   }
   [[maybe_unused]] const std::size_t bound_pruned =
       eval.size() - survivors.size();
   NFVM_COUNTER_ADD("core.online_cp.bound_pruned", bound_pruned);
-  if (!server_sources.empty()) {
-    const auto trees = view_->trees_for(state_, server_sources, b);
-    for (std::size_t i = 0; i < server_sources.size(); ++i) {
-      tables.set(server_sources[i], trees[i]);
-    }
-  }
   NFVM_OBS_ONLY(if (rec) {
     rec->bound_pruned = bound_pruned;
     rec->closure_us = phase_watch.elapsed_us();
   })
-  const std::function<const graph::ShortestPaths&(graph::VertexId)> table_for =
-      [&tables](graph::VertexId v) -> const graph::ShortestPaths& {
-    return tables.from(v);
+  const std::function<const graph::ShortestPaths*(graph::VertexId)> table_for =
+      [&tables](graph::VertexId v) -> const graph::ShortestPaths* {
+    return tables.has(v) ? &tables.from(v) : nullptr;
   };
+  const std::span<const std::uint8_t> mask = view_->eligibility_mask();
 
   // Phase C: evaluate every surviving candidate's Steiner tree and cost in
-  // parallel. Each evaluation is pure (reads the view + tables, writes its
-  // slot); the cost prune of the sequential scan is deliberately NOT applied
-  // here — it only suppresses work, never changes the admitted candidate,
-  // and the replay loop below re-applies it for reason parity.
+  // parallel. Each evaluation is pure (reads the view, tables and mask,
+  // writes its slot); the cost prune of the sequential scan is deliberately
+  // NOT applied here — it only suppresses work, never changes the admitted
+  // candidate, and the replay loop below re-applies it for reason parity.
+  // A server outside T0 has no table: KMB fetches its row lazily, as an
+  // early-exit masked Dijkstra on this thread's engine, and never caches it.
   {
     NFVM_SPAN("online_cp/server_scan");
     NFVM_OBS_ONLY(phase_watch.reset();)
@@ -231,8 +230,14 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
       terminals.push_back(v);
       terminals.insert(terminals.end(), request.destinations.begin(),
                        request.destinations.end());
+      const graph::KmbRowFn row_to =
+          [&](graph::VertexId x, std::span<const graph::VertexId> targets) {
+            slot.server_row_fetched = true;
+            return graph::SpEngine::thread_local_engine().shortest_paths_to(
+                view_->graph(), x, targets, mask);
+          };
       graph::SteinerResult st =
-          graph::kmb_steiner_from_tables(view_->graph(), terminals, table_for);
+          graph::kmb_steiner_lazy(view_->graph(), terminals, table_for, row_to);
       if (!st.connected) return;
       slot.connected = true;
       if (st.weight >= sigma_e_) {
@@ -253,9 +258,21 @@ AdmissionDecision OnlineCp::try_admit_fast(const nfv::Request& request) {
       slot.steiner_weight = st.weight;
       slot.edges = std::move(st.edges);
     });
-    NFVM_OBS_ONLY(if (rec) {
-      rec->servers_evaluated = survivors.size();
-      rec->eval_us = phase_watch.elapsed_us();
+    NFVM_OBS_ONLY({
+      std::uint64_t tableless = 0;
+      std::uint64_t fetched = 0;
+      for (std::size_t i : survivors) {
+        if (tables.has(eval[i])) continue;
+        ++tableless;
+        if (slots[i].server_row_fetched) ++fetched;
+      }
+      NFVM_COUNTER_ADD("core.online_cp.server_rows_fetched", fetched);
+      NFVM_COUNTER_ADD("core.online_cp.server_rows_skipped", tableless - fetched);
+      if (rec) {
+        rec->servers_evaluated = survivors.size();
+        rec->server_rows = fetched;
+        rec->eval_us = phase_watch.elapsed_us();
+      }
     })
   }
 

@@ -127,21 +127,22 @@ OnlineWeightedView::trees_for(const nfv::ResourceState& state,
   std::vector<std::shared_ptr<const graph::ShortestPaths>> trees(sources.size());
   // first[i]: the first slot holding sources[i]. Only first occurrences are
   // looked up or computed; repeated slots copy that slot's tree at the end.
-  // Source lists are short (terminals plus servers), so a linear scan
-  // suffices and allocates nothing.
+  // Source lists are short (Online_CP asks for its terminals, Online_SP adds
+  // the eligible servers), so a linear scan suffices and allocates nothing.
   std::vector<std::size_t> first(sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
     first[i] = static_cast<std::size_t>(
         std::find(sources.begin(), sources.begin() + i, sources[i]) -
         sources.begin());
   }
+  build_eligibility_mask(state, b);
   std::vector<std::size_t> missing;
   const bool incremental = policy_incremental();
   if (incremental) {
     NFVM_COUNTER_INC("core.online.view_policy_incremental");
   } else {
-    // Rebuild mode: no cache probe, no validity walk — one eligibility
-    // sweep and one batched masked SSSP for every distinct source.
+    // Rebuild mode: no cache probe, no validity walk — one batched masked
+    // SSSP for every distinct source.
     // Bit-identical to the incremental path because a valid cached tree IS
     // a fresh filtered Dijkstra (era invariant).
     NFVM_COUNTER_INC("core.online.view_policy_rebuild");
@@ -158,7 +159,6 @@ OnlineWeightedView::trees_for(const nfv::ResourceState& state,
     missing.push_back(i);
   }
   if (!missing.empty()) {
-    build_eligibility_mask(state, b);
     std::vector<graph::VertexId> miss_sources;
     miss_sources.reserve(missing.size());
     for (std::size_t i : missing) miss_sources.push_back(sources[i]);

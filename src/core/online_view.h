@@ -102,6 +102,13 @@ class OnlineWeightedView {
       const nfv::ResourceState& state, std::span<const graph::VertexId> sources,
       double b);
 
+  /// The per-edge eligibility mask of the last trees_for call (1 where
+  /// nfv::edge_eligible(state, e, b) held), indexed by edge id. Callers that
+  /// run further masked Dijkstras for the same request (Online_CP's lazy
+  /// server rows) read it instead of sweeping the edges again. Valid until
+  /// the next trees_for call.
+  std::span<const std::uint8_t> eligibility_mask() const noexcept { return mask_; }
+
   // --- State export (serve snapshot/restore + tests) ------------------------
   // The view's *decision-relevant* state is entirely derivable from the
   // residuals (weights are a pure function of them); the era counter and
@@ -137,15 +144,16 @@ class OnlineWeightedView {
   bool tree_valid(const nfv::ResourceState& state, graph::VertexId source,
                   const graph::ShortestPaths& tree, double b) const;
   /// Fills mask_ with nfv::edge_eligible(state, e, b) for every edge — the
-  /// predicate is a pure function of (state, b), so one O(|E|) sweep
-  /// replaces a per-scanned-edge std::function call in every Dijkstra.
+  /// predicate is a pure function of (state, b), so one O(|E|) sweep per
+  /// trees_for call replaces a per-scanned-edge std::function call in every
+  /// Dijkstra.
   void build_eligibility_mask(const nfv::ResourceState& state, double b);
 
   const topo::Topology* topo_;
   EdgeWeightFn edge_weight_;
   graph::Graph view_;
   graph::SpCache cache_;
-  /// Per-edge eligibility bitmap scratch, rebuilt once per trees_for call.
+  /// Per-edge eligibility bitmap, rebuilt once per trees_for call.
   std::vector<std::uint8_t> mask_;
   /// EWMA of edges whose weight actually changed per apply_allocate.
   double churn_ewma_ = 0.0;

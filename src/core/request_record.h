@@ -12,7 +12,8 @@
 // Phase names (the contract shared with sim/simulator.cpp's event fields
 // and obs/request_events.cpp's aggregation):
 //   classify   server classification / weighted working-graph build
-//   closure    shared-closure shortest-path tree family (view trees_for)
+//   closure    shared-closure shortest-path tree family (view trees_for),
+//              plus Online_CP's closure-MST bound
 //   eval       candidate-server / combination evaluation scan
 //   realize    sequential replay: route assembly, delay + capacity checks
 //   view_patch incremental weighted-view patch after an admission
@@ -52,6 +53,11 @@ struct RequestRecord {
   /// tables alone, with no server tree and no KMB run. For Online_CP,
   /// servers_evaluated + bound_pruned == servers_eligible.
   std::uint64_t bound_pruned = 0;
+  /// Online_CP fast path: lazy server rows its KMB runs fetched — early-exit
+  /// Dijkstras from an evaluated server outside {s_k} ∪ D_k. The other
+  /// such servers never needed a row (their row could not improve a Prim
+  /// key). 0 on other algorithms and on the rebuild path.
+  std::uint64_t server_rows = 0;
   /// Passed every feasibility check (each one improved on the best so far).
   std::uint64_t candidates_feasible = 0;
   /// The admitted candidate's server; -1 when rejected.

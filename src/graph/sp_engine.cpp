@@ -75,6 +75,26 @@ void SpEngine::touch(VertexId v) {
   reached_.push_back(v);
 }
 
+std::size_t SpEngine::stamp_targets(std::span<const VertexId> targets) {
+  if (++target_generation_ == 0) {
+    std::fill(target_stamp_.begin(), target_stamp_.end(), 0);
+    target_generation_ = 1;
+  }
+  std::size_t distinct = 0;
+  for (VertexId t : targets) {
+    if (target_stamp_[t] != target_generation_) {
+      target_stamp_[t] = target_generation_;
+      ++distinct;
+    }
+  }
+  return distinct;
+}
+
+void SpEngine::clear_targets(std::span<const VertexId> targets) noexcept {
+  // Leave no stale stamps for the next query.
+  for (VertexId t : targets) target_stamp_[t] = 0;
+}
+
 void SpEngine::run(std::span<const VertexId> seeds,
                    const std::function<bool(EdgeId)>* edge_allowed,
                    const std::uint8_t* edge_mask, std::size_t targets_remaining) {
@@ -296,13 +316,9 @@ double SpEngine::shortest_distance(const Graph& g, VertexId from, VertexId to) {
   }
   NFVM_COUNTER_INC("graph.sp_engine.early_exit_queries");
   prepare(g);
-  if (++target_generation_ == 0) {
-    std::fill(target_stamp_.begin(), target_stamp_.end(), 0);
-    target_generation_ = 1;
-  }
-  target_stamp_[to] = target_generation_;
+  stamp_targets({&to, 1});
   run({&from, 1}, nullptr, nullptr, 1);
-  target_stamp_[to] = 0;
+  clear_targets({&to, 1});
   return stamp_[to] == generation_ ? dist_[to] : kInfiniteDistance;
 }
 
@@ -316,45 +332,44 @@ std::vector<double> SpEngine::distances_to(const Graph& g, VertexId from,
   }
   NFVM_COUNTER_INC("graph.sp_engine.early_exit_queries");
   prepare(g);
-  if (++target_generation_ == 0) {
-    std::fill(target_stamp_.begin(), target_stamp_.end(), 0);
-    target_generation_ = 1;
-  }
-  std::size_t distinct = 0;
-  for (VertexId t : targets) {
-    if (target_stamp_[t] != target_generation_) {
-      target_stamp_[t] = target_generation_;
-      ++distinct;
-    }
-  }
-  run({&from, 1}, nullptr, nullptr, distinct);
+  run({&from, 1}, nullptr, nullptr, stamp_targets(targets));
+  clear_targets(targets);
   std::vector<double> out;
   out.reserve(targets.size());
   for (VertexId t : targets) {
     out.push_back(stamp_[t] == generation_ ? dist_[t] : kInfiniteDistance);
-    target_stamp_[t] = 0;  // leave no stale stamps for the next query
   }
   return out;
+}
+
+ShortestPaths SpEngine::shortest_paths_to(const Graph& g, VertexId source,
+                                          std::span<const VertexId> targets,
+                                          std::span<const std::uint8_t> edge_mask) {
+  if (!g.has_vertex(source)) {
+    throw std::out_of_range("dijkstra: invalid source vertex");
+  }
+  for (VertexId t : targets) {
+    if (!g.has_vertex(t)) throw std::out_of_range("dijkstra: invalid target vertex");
+  }
+  if (!edge_mask.empty() && edge_mask.size() < g.num_edges()) {
+    throw std::invalid_argument("dijkstra: edge mask smaller than edge count");
+  }
+  NFVM_COUNTER_INC("graph.sp_engine.early_exit_queries");
+  prepare(g);
+  run({&source, 1}, nullptr, edge_mask.empty() ? nullptr : edge_mask.data(),
+      stamp_targets(targets));
+  clear_targets(targets);
+  return materialize(source);
 }
 
 VertexId SpEngine::grow_step(const Graph& g,
                              std::span<const VertexId> tree_vertices,
                              std::span<const VertexId> targets) {
   prepare(g);
-  if (++target_generation_ == 0) {
-    std::fill(target_stamp_.begin(), target_stamp_.end(), 0);
-    target_generation_ = 1;
-  }
-  std::size_t distinct = 0;
-  for (VertexId t : targets) {
-    if (target_stamp_[t] != target_generation_) {
-      target_stamp_[t] = target_generation_;
-      ++distinct;
-    }
-  }
+  const std::size_t distinct = stamp_targets(targets);
   // Stop at the FIRST settled target — pending terminals race, closest wins.
   run(tree_vertices, nullptr, nullptr, distinct > 0 ? 1 : 0);
-  for (VertexId t : targets) target_stamp_[t] = 0;
+  clear_targets(targets);
   return last_settled_target_;
 }
 

@@ -98,6 +98,19 @@ class SpEngine {
   std::vector<double> distances_to(const Graph& g, VertexId from,
                                    std::span<const VertexId> targets);
 
+  /// Masked Dijkstra from `source` that stops once every distinct vertex of
+  /// `targets` is settled. The pop order is the prefix of the full
+  /// shortest_paths_masked run, so every settled vertex — each reachable
+  /// target and every vertex on its shortest path — carries exactly the
+  /// full run's dist/parent/parent_edge. Other entries are tentative upper
+  /// bounds on the full run's distance, or unreached (kInfiniteDistance).
+  /// An unreachable target exhausts the run and reads kInfiniteDistance;
+  /// empty `targets` runs to exhaustion. Throws like shortest_paths_masked,
+  /// plus std::out_of_range for a bad target.
+  ShortestPaths shortest_paths_to(const Graph& g, VertexId source,
+                                  std::span<const VertexId> targets,
+                                  std::span<const std::uint8_t> edge_mask = {});
+
   /// One Takahashi–Matsuyama growth step: seeds every vertex of
   /// `tree_vertices` (must be distinct) at distance zero and stops as soon
   /// as the first vertex of `targets` is settled, returning it —
@@ -141,6 +154,10 @@ class SpEngine {
   void prepare(const Graph& g);
   /// Lazily initializes v's workspace slots for this generation.
   void touch(VertexId v);
+  /// Stamps `targets` for the next run() and returns how many are distinct;
+  /// clear_targets(targets) must follow the run.
+  std::size_t stamp_targets(std::span<const VertexId> targets);
+  void clear_targets(std::span<const VertexId> targets) noexcept;
   /// Core dispatch: seeds every vertex of `seeds` at distance zero, then
   /// runs the Dial loop when the view's weight inspection allows it and
   /// the 4-ary heap loop otherwise. `edge_allowed` / `edge_mask` may be
@@ -188,8 +205,9 @@ std::vector<ShortestPaths> batch_dijkstra(
     const Graph& g, std::span<const VertexId> sources,
     std::span<const std::uint8_t> edge_mask = {});
 
-/// Default SpCache capacity: enough for a request's source + destinations +
-/// eligible servers on every topology in the repo without eviction churn.
+/// Default SpCache capacity: enough for a request's source and destination
+/// trees, plus the eligible-server trees of Appro_Multi and Online_SP, on
+/// every topology in the repo without eviction churn.
 inline constexpr std::size_t kDefaultSpCacheCapacity = 256;
 
 class SpCache {

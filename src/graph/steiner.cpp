@@ -84,20 +84,63 @@ double edges_weight(const Graph& g, std::span<const EdgeId> edges) {
   return w;
 }
 
-/// KMB steps 2-5 against per-terminal shortest-path tables (one table per
-/// entry of `terms`, in order). Both kmb_steiner (freshly computed tables)
-/// and kmb_steiner_from_tables (caller-cached tables) funnel through here,
-/// which is what makes the two bit-identical.
+/// Relative slack covering the float rounding between two shortest-path
+/// computations of one exact distance D on a |V|-vertex graph with
+/// non-negative weights. A float Dijkstra distance is a float path sum of at
+/// most |V| - 1 terms: at least the exact sum of the path it found times
+/// (1 - u)^|V|, and (float addition is monotone) at most the float sum along
+/// an exact shortest path, i.e. D (1 + u)^|V|, with u = 2^-53. Two such
+/// values therefore differ by a factor of at most about 1 + 2 |V| u;
+/// 8 |V| u leaves room for the further sums and products its users apply.
+double closure_rounding_margin(std::size_t num_vertices) {
+  return 8.0 * static_cast<double>(num_vertices) * 0x1p-53;
+}
+
+/// KMB steps 2-5 against per-terminal shortest-path tables (one entry of
+/// `sp` per entry of `terms`, in order). kmb_steiner (freshly computed
+/// tables) and kmb_steiner_lazy (caller-cached tables) both funnel through
+/// here, which is what makes them bit-identical. A null `sp[i]` is a
+/// tableless terminal whose row is fetched through `row_to` (non-null then)
+/// when Prim picks it, bounded to the terminals the row could still improve.
 SteinerResult kmb_from_terminal_tables(const Graph& g,
                                        const std::vector<VertexId>& terms,
-                                       std::span<const ShortestPaths* const> sp) {
+                                       std::vector<const ShortestPaths*> sp,
+                                       const KmbRowFn* row_to) {
   SteinerResult result;
-  for (std::size_t i = 1; i < terms.size(); ++i) {
+  const std::size_t t = terms.size();
+  // Rows fetched for tableless terminals, one slot per terminal and sized
+  // once, so the pointers stored in `sp` stay valid.
+  std::vector<ShortestPaths> fetched;
+  std::vector<VertexId> targets;
+  const auto fetch = [&](std::size_t i) {
+    if (fetched.empty()) fetched.resize(t);
+    fetched[i] = (*row_to)(terms[i], targets);
+    sp[i] = &fetched[i];
+  };
+  if (sp[0] == nullptr) {
+    // The root is Prim's first pick, and every other terminal its target.
+    targets.assign(terms.begin() + 1, terms.end());
+    fetch(0);
+  }
+  for (std::size_t i = 1; i < t; ++i) {
     if (!sp[0]->reachable(terms[i])) return result;  // connected == false
   }
 
   // Step 2: MST of the metric closure (Prim on the t x t distance matrix).
-  const std::size_t t = terms.size();
+  // A tableless terminal x is fetched when picked, with targets the
+  // unpicked j for which dist_j[x] (1 - margin) < best[j]. Bit-identity
+  // with full rows:
+  //  (i) the graph is undirected, so dist_x[j] and dist_j[x] are two float
+  //      computations of one exact distance and differ by less than the
+  //      margin: a skipped j can never pass the strict d < best[j], and with
+  //      no targets x's update loop is a no-op and is skipped;
+  //  (ii) a fetched row is exact at its settled vertices and a tentative
+  //      upper bound elsewhere, so reading it for a non-target j changes
+  //      nothing either;
+  //  (iii) a closure edge (x, j) exists only if x's row strictly improved j;
+  //      such a j is a target, settled along with its whole path, so step 3
+  //      expands exactly the full row's path.
+  const double keep = 1.0 - closure_rounding_margin(g.num_vertices());
   std::vector<std::pair<std::size_t, std::size_t>> closure_edges;  // (i, j)
   {
     NFVM_SPAN("steiner/kmb/closure_mst");
@@ -112,6 +155,17 @@ SteinerResult kmb_from_terminal_tables(const Graph& g,
       }
       in_tree[pick] = true;
       if (pick != 0) closure_edges.emplace_back(best_from[pick], pick);
+      if (sp[pick] == nullptr) {
+        targets.clear();
+        for (std::size_t j = 0; j < t; ++j) {
+          if (in_tree[j]) continue;
+          if (sp[j] == nullptr || sp[j]->dist[terms[pick]] * keep < best[j]) {
+            targets.push_back(terms[j]);
+          }
+        }
+        if (targets.empty()) continue;
+        fetch(pick);
+      }
       for (std::size_t j = 0; j < t; ++j) {
         if (in_tree[j]) continue;
         const double d = sp[pick]->dist[terms[j]];
@@ -164,13 +218,14 @@ SteinerResult kmb_steiner(const Graph& g, std::span<const VertexId> terminals) {
   }
   std::vector<const ShortestPaths*> tables(terms.size());
   for (std::size_t i = 0; i < terms.size(); ++i) tables[i] = &sp[i];
-  return kmb_from_terminal_tables(g, terms, tables);
+  return kmb_from_terminal_tables(g, terms, std::move(tables), nullptr);
 }
 
-SteinerResult kmb_steiner_from_tables(
+SteinerResult kmb_steiner_lazy(
     const Graph& g, std::span<const VertexId> terminals,
-    const std::function<const ShortestPaths&(VertexId)>& table_for) {
-  NFVM_SPAN("steiner/kmb_from_tables");
+    const std::function<const ShortestPaths*(VertexId)>& table_for,
+    const KmbRowFn& row_to) {
+  NFVM_SPAN("steiner/kmb_lazy");
   NFVM_COUNTER_INC("graph.steiner.kmb.runs");
   const std::vector<VertexId> terms = distinct_terminals(g, terminals);
   SteinerResult result;
@@ -179,8 +234,8 @@ SteinerResult kmb_steiner_from_tables(
     return result;
   }
   std::vector<const ShortestPaths*> tables(terms.size());
-  for (std::size_t i = 0; i < terms.size(); ++i) tables[i] = &table_for(terms[i]);
-  return kmb_from_terminal_tables(g, terms, tables);
+  for (std::size_t i = 0; i < terms.size(); ++i) tables[i] = table_for(terms[i]);
+  return kmb_from_terminal_tables(g, terms, std::move(tables), &row_to);
 }
 
 ClosureMst::ClosureMst(std::span<const VertexId> base,
@@ -239,11 +294,11 @@ double kmb_weight_lower_bound(double closure_mst_weight,
   // non-negative terms (<= (1 + u)^{|V|} times the exact distance), the MST
   // adds at most |T| - 1 <= |V| more roundings, and KMB's weight is a float
   // sum that may undershoot its exact value by another (1 - u)^{|V|}. That
-  // is about 3 |V| u in total, plus a few for this arithmetic; 8 |V| u
-  // leaves a factor of two to spare. u = 2^-53.
+  // is about 3 |V| u in total, plus a few for this arithmetic; the 8 |V| u
+  // margin leaves a factor of two to spare. u = 2^-53.
   const double l = static_cast<double>(num_terminals);
-  const double margin = 8.0 * static_cast<double>(num_vertices) * 0x1p-53;
-  return closure_mst_weight * l / (2.0 * (l - 1.0)) * (1.0 - margin);
+  return closure_mst_weight * l / (2.0 * (l - 1.0)) *
+         (1.0 - closure_rounding_margin(num_vertices));
 }
 
 SteinerResult improve_steiner(const Graph& g, SteinerResult current,

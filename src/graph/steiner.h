@@ -39,17 +39,31 @@ struct SteinerResult {
 /// Guarantee: weight <= 2 (1 - 1/t) * OPT where t = #distinct terminals.
 SteinerResult kmb_steiner(const Graph& g, std::span<const VertexId> terminals);
 
+/// Row fetcher for kmb_steiner_lazy: the shortest-path table from `source`
+/// on the KMB graph, exact at every vertex of `targets` and at every vertex
+/// on their shortest paths (SpEngine::shortest_paths_to). Other entries may
+/// be tentative upper bounds on the full table's value.
+using KmbRowFn = std::function<ShortestPaths(VertexId source,
+                                             std::span<const VertexId> targets)>;
+
 /// KMB from caller-supplied per-terminal shortest-path tables: identical to
 /// kmb_steiner except that step 1 (one SSSP per distinct terminal) is
-/// replaced by `table_for(t)` lookups. `table_for` must return the full
-/// shortest-path tree rooted at `t` on `g` (same graph, same weights) and
-/// the reference must stay valid for the duration of the call. This is the
-/// online fast path's entry point: the per-request terminal trees are primed
-/// once (and cached across requests) instead of being recomputed per
-/// candidate server, and the result is bit-identical to kmb_steiner.
-SteinerResult kmb_steiner_from_tables(
+/// replaced by `table_for(t)` lookups, so per-request terminal trees can be
+/// primed once (and cached across requests) instead of being recomputed
+/// per call. `table_for(t)` returns the full shortest-path tree rooted at
+/// `t` on `g` (same graph, same weights), valid for the whole call, or
+/// nullptr. A tableless terminal's row is fetched through `row_to` only
+/// when KMB's closure Prim picks it, and only out to the terminals it could
+/// still improve: every other terminal when it is the root (the smallest
+/// id), else each unpicked j with dist_j[x] (1 - 8 |V| 2^-53) < key[j].
+/// With no such j the row is never fetched. The graph must be undirected
+/// with non-negative weights; the result is bit-identical to kmb_steiner
+/// (docs/performance.md, "Lazy server rows", gives the proof). This is the
+/// online fast path's entry point.
+SteinerResult kmb_steiner_lazy(
     const Graph& g, std::span<const VertexId> terminals,
-    const std::function<const ShortestPaths&(VertexId)>& table_for);
+    const std::function<const ShortestPaths*(VertexId)>& table_for,
+    const KmbRowFn& row_to);
 
 /// Metric-closure MST over a fixed base terminal set T0, built once from
 /// the base terminals' shortest-path tables, that prices T0 ∪ {v} for any

@@ -372,6 +372,7 @@ void write_explain(std::ostream& out, const RequestEvent& event) {
       << " eligible=" << format_exact(number_or(doc, "servers_eligible", 0))
       << " evaluated=" << format_exact(number_or(doc, "servers_evaluated", 0))
       << " bound_pruned=" << format_exact(number_or(doc, "bound_pruned", 0))
+      << " server_rows=" << format_exact(number_or(doc, "server_rows", 0))
       << " feasible=" << format_exact(number_or(doc, "candidates_feasible", 0))
       << "\n";
   out << "gates      skip_compute=" << format_exact(number_or(doc, "skip_compute", 0))

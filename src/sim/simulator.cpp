@@ -51,6 +51,7 @@ void emit_request_event(obs::EventLog* log, const core::OnlineAlgorithm& algorit
         .field("servers_eligible", rec->servers_eligible)
         .field("servers_evaluated", rec->servers_evaluated)
         .field("bound_pruned", rec->bound_pruned)
+        .field("server_rows", rec->server_rows)
         .field("candidates_feasible", rec->candidates_feasible);
     if (decision.admitted) {
       line.field("chosen_server", rec->chosen_server)

@@ -56,6 +56,7 @@ std::string write_fixture_log(const std::string& name) {
         .field("servers_eligible", std::uint64_t{5})
         .field("servers_evaluated", std::uint64_t{3})
         .field("bound_pruned", std::uint64_t{2})
+        .field("server_rows", std::uint64_t{1})
         .field("candidates_feasible", std::uint64_t{admitted ? 1 : 0});
     if (admitted) line.field("chosen_server", std::int64_t{4});
     log.write(line);
@@ -182,9 +183,11 @@ TEST(RequestEvents, ExplainPrintsAdmittedAndRejected) {
   write_explain(rejected, events[2]);
   EXPECT_NE(rejected.str().find("REJECTED"), std::string::npos);
   EXPECT_NE(rejected.str().find("threshold"), std::string::npos);
-  // The scan funnel line carries the bound-pruned candidates.
-  EXPECT_NE(rejected.str().find("eligible=5 evaluated=3 bound_pruned=2"),
-            std::string::npos);
+  // The scan funnel line carries the bound-pruned candidates and the lazy
+  // server rows fetched.
+  EXPECT_NE(
+      rejected.str().find("eligible=5 evaluated=3 bound_pruned=2 server_rows=1"),
+      std::string::npos);
 }
 
 TEST(RequestEvents, DecisionsProjectionIsTimingFree) {

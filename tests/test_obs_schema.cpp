@@ -137,10 +137,11 @@ TEST(EventsSchemaV2, GoldenShapeFromTheRealEmitter) {
       "fast_path",          "total_us",          "phase_classify_us",
       "phase_closure_us",   "phase_eval_us",     "phase_realize_us",
       "phase_view_patch_us", "servers_total",    "servers_eligible",
-      "servers_evaluated",  "bound_pruned",      "candidates_feasible",
-      "spcache_hits",       "spcache_misses",    "skip_compute",
-      "skip_sigma_v",       "fail_disconnected", "fail_sigma_e",
-      "fail_delay",         "fail_capacity",     "cost_pruned"};
+      "servers_evaluated",  "bound_pruned",      "server_rows",
+      "candidates_feasible", "spcache_hits",     "spcache_misses",
+      "skip_compute",       "skip_sigma_v",      "fail_disconnected",
+      "fail_sigma_e",       "fail_delay",        "fail_capacity",
+      "cost_pruned"};
 #else
   const std::set<std::string> provenance_fields;
 #endif

@@ -1,13 +1,15 @@
 // The online admission fast path: trace equivalence between the incremental
 // (patched weighted view + shared-closure scan) and legacy rebuild paths,
-// Online_CP's bound-pruned server scan, OnlineWeightedView patch/era
-// semantics, keyed SpCache invalidation, the table-driven KMB entry points,
-// and RejectTracker precedence.
+// Online_CP's bound-pruned server scan and lazy server rows,
+// OnlineWeightedView patch/era semantics, keyed SpCache invalidation, the
+// lazy table-driven KMB entry point, and RejectTracker precedence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "core/online_sp.h"
 #include "core/online_view.h"
 #include "graph/dijkstra.h"
+#include "graph/sp_engine.h"
 #include "graph/steiner.h"
 #include "nfv/resources.h"
 #include "obs/metrics.h"
@@ -144,16 +147,27 @@ TEST(OnlineFastPath, CpBoundPrunedScanMatchesRebuildWhenSaturated) {
   for (const std::size_t threads : {1, 4}) {
     util::ThreadPool::set_global_threads(threads);
     const std::uint64_t pruned_before = counter_value("core.online_cp.bound_pruned");
+    const std::uint64_t fetched_before =
+        counter_value("core.online_cp.server_rows_fetched");
+    const std::uint64_t skipped_before =
+        counter_value("core.online_cp.server_rows_skipped");
     OnlineCp fast(topo);
     OnlineCp rebuild(topo, rebuild_opts);
     run_trace_equivalence(fast, rebuild, 300);
     EXPECT_GT(fast.num_rejected(), 0u) << "threads " << threads;
 #if NFVM_OBS
-    // Not vacuous: the pruned branch actually ran.
+    // Not vacuous: the pruned branch actually ran, and KMB both fetched
+    // lazy server rows and skipped rows it could not use.
     EXPECT_GT(counter_value("core.online_cp.bound_pruned"), pruned_before)
+        << "threads " << threads;
+    EXPECT_GT(counter_value("core.online_cp.server_rows_fetched"), fetched_before)
+        << "threads " << threads;
+    EXPECT_GT(counter_value("core.online_cp.server_rows_skipped"), skipped_before)
         << "threads " << threads;
 #else
     (void)pruned_before;
+    (void)fetched_before;
+    (void)skipped_before;
 #endif
   }
 }
@@ -225,8 +239,16 @@ TEST(ClosureMstBound, InsertionMatchesScratchAndBoundsKmbOnLoadedStates) {
     std::vector<graph::VertexId> all(n);
     for (graph::VertexId v = 0; v < n; ++v) all[v] = v;
     const auto tables = view.trees_for(state, all, b);
-    const auto table_for =
-        [&](graph::VertexId v) -> const graph::ShortestPaths& { return *tables[v]; };
+    const std::function<const graph::ShortestPaths*(graph::VertexId)> table_for =
+        [&](graph::VertexId v) -> const graph::ShortestPaths* {
+      return tables[v].get();
+    };
+    // Never called: every terminal has a table.
+    const graph::KmbRowFn no_rows = [](graph::VertexId,
+                                       std::span<const graph::VertexId>) {
+      ADD_FAILURE() << "row fetched although every table exists";
+      return graph::ShortestPaths{};
+    };
 
     for (int trial = 0; trial < 8; ++trial) {
       const std::size_t dests =
@@ -259,10 +281,28 @@ TEST(ClosureMstBound, InsertionMatchesScratchAndBoundsKmbOnLoadedStates) {
         if (terms.size() < 2) continue;
         const double lb = graph::kmb_weight_lower_bound(mst, terms.size(), n);
         const graph::SteinerResult st =
-            graph::kmb_steiner_from_tables(view.graph(), terms, table_for);
+            graph::kmb_steiner_lazy(view.graph(), terms, table_for, no_rows);
         ASSERT_TRUE(st.connected);
         EXPECT_LE(lb, st.weight) << "seed " << seed << " v " << v;
         ++checked;
+        // Online_CP's configuration: v has no table and its row is an
+        // early-exit Dijkstra under the request's eligibility mask. The
+        // result must be bit-identical to the full-table KMB.
+        if (in_base) continue;
+        const std::function<const graph::ShortestPaths*(graph::VertexId)>
+            base_only = [&](graph::VertexId u) -> const graph::ShortestPaths* {
+          return u == v ? nullptr : tables[u].get();
+        };
+        const graph::KmbRowFn row_to =
+            [&](graph::VertexId x, std::span<const graph::VertexId> targets) {
+              return graph::SpEngine::thread_local_engine().shortest_paths_to(
+                  view.graph(), x, targets, view.eligibility_mask());
+            };
+        const graph::SteinerResult lazy =
+            graph::kmb_steiner_lazy(view.graph(), terms, base_only, row_to);
+        EXPECT_EQ(lazy.connected, st.connected);
+        EXPECT_EQ(lazy.edges, st.edges) << "seed " << seed << " v " << v;
+        EXPECT_EQ(lazy.weight, st.weight) << "seed " << seed << " v " << v;
       }
     }
   }

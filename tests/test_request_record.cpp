@@ -77,8 +77,11 @@ TEST(RequestRecord, PopulatedForEveryAlgorithm) {
         // settled by the bound-pruned scan from the terminal tables.
         EXPECT_EQ(rec.servers_evaluated + rec.bound_pruned,
                   rec.servers_eligible);
+        // A lazy server row is fetched at most once per KMB run.
+        EXPECT_LE(rec.server_rows, rec.servers_evaluated);
       } else {
         EXPECT_EQ(rec.bound_pruned, 0u) << name;
+        EXPECT_EQ(rec.server_rows, 0u) << name;
       }
       EXPECT_GT(rec.total_us, 0.0) << name;
       EXPECT_GE(rec.eval_us, 0.0) << name;

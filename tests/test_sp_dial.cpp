@@ -3,12 +3,15 @@
 // the CSR weight inspection must only ever select it on strictly-positive
 // integer weights <= kMaxDialWeight, and the batched multi-source SSSP must
 // reproduce the sequential per-source loop byte-for-byte at any thread
-// count. See the determinism argument in src/graph/sp_engine.cpp above
-// run_dial and docs/performance.md "SP engine internals".
+// count. Early-exit target rows (shortest_paths_to) must agree with the
+// full masked run on both queues. See the determinism argument in
+// src/graph/sp_engine.cpp above run_dial and docs/performance.md "SP engine
+// internals".
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/csr.h"
@@ -141,6 +144,110 @@ TEST(SpDial, EarlyExitLeavesNoStaleBucketState) {
   for (VertexId s = 0; s < g.num_vertices(); s += 11) {
     expect_trees_equal(engine.shortest_paths(g, s), reference_dijkstra(g, s));
   }
+}
+
+/// Checks an early-exit row against the full masked run: every target and
+/// every vertex on its shortest path is bit-equal (dist, parent and
+/// parent_edge), every other entry is an upper bound on the full distance.
+/// Returns how many entries the row left above the full run's value.
+std::size_t expect_row_agrees(const ShortestPaths& row, const ShortestPaths& full,
+                              const std::vector<VertexId>& targets) {
+  EXPECT_EQ(row.source, full.source);
+  EXPECT_EQ(row.dist.size(), full.dist.size());
+  std::vector<bool> exact(full.dist.size(), false);
+  for (VertexId t : targets) {
+    for (VertexId v = t; v != kInvalidVertex && !exact[v]; v = full.parent[v]) {
+      exact[v] = true;
+    }
+  }
+  std::size_t above = 0;
+  for (VertexId v = 0; v < full.dist.size(); ++v) {
+    if (exact[v]) {
+      EXPECT_EQ(row.dist[v], full.dist[v]) << "dist mismatch at " << v;
+      EXPECT_EQ(row.parent[v], full.parent[v]) << "parent mismatch at " << v;
+      EXPECT_EQ(row.parent_edge[v], full.parent_edge[v]) << "edge mismatch at " << v;
+    } else {
+      EXPECT_GE(row.dist[v], full.dist[v]) << "below the full run at " << v;
+      if (row.dist[v] > full.dist[v]) ++above;
+    }
+  }
+  return above;
+}
+
+TEST(SpDial, ShortestPathsToMatchesFullMaskedRunOnBothQueues) {
+  struct Profile {
+    const char* name;
+    double (*weight_of)(EdgeId);
+    bool dial;
+  };
+  const Profile profiles[] = {
+      {"unit", +[](EdgeId) { return 1.0; }, true},
+      {"small integers", +[](EdgeId e) { return 1.0 + static_cast<double>(e % 9); },
+       true},
+      // Zeros and repeated fractions: the heap path, with float ties.
+      {"zeros and fractions",
+       +[](EdgeId e) {
+         return e % 2 == 0 ? 0.0 : 0.1 * static_cast<double>(1 + e % 3);
+       },
+       false},
+  };
+  for (const Profile& profile : profiles) {
+    const Graph g = reweighted_waxman(60, 42, profile.weight_of);
+    const std::size_t n = g.num_vertices();
+    std::vector<std::uint8_t> mask(g.num_edges(), 1);
+    for (EdgeId e = 0; e < g.num_edges(); e += 5) mask[e] = 0;
+    SpEngine engine;
+    std::size_t above = 0;
+    for (VertexId s = 0; s < n; s += 7) {
+      const ShortestPaths full = engine.shortest_paths_masked(g, s, mask);
+      // A duplicate and the source itself among the targets.
+      const std::vector<VertexId> targets{
+          static_cast<VertexId>((s + 13) % n), static_cast<VertexId>((s + 29) % n),
+          static_cast<VertexId>((s + 13) % n), s};
+      const ShortestPaths row = engine.shortest_paths_to(g, s, targets, mask);
+      EXPECT_EQ(engine.last_used_dial(), profile.dial) << profile.name;
+      above += expect_row_agrees(row, full, targets);
+    }
+    // Not vacuous: the runs did stop early.
+    EXPECT_GT(above, 0u) << profile.name;
+  }
+}
+
+TEST(SpDial, ShortestPathsToUnreachableTargetExhaustsTheRun) {
+  // Two components, {0, 1, 2, 3} and {4, 5}, plus a masked-off bridge 3-4.
+  for (const double w : {1.0, 1.5}) {  // Dial, then heap
+    Graph g(6);
+    g.add_edge(0, 1, w);
+    g.add_edge(1, 2, w);
+    g.add_edge(2, 3, w);
+    g.add_edge(4, 5, w);
+    g.add_edge(3, 4, w);
+    const std::vector<std::uint8_t> mask{1, 1, 1, 1, 0};
+    SpEngine engine;
+    const std::vector<VertexId> targets{1, 5};
+    const ShortestPaths row = engine.shortest_paths_to(g, 0, targets, mask);
+    EXPECT_EQ(engine.last_used_dial(), w == 1.0);
+    EXPECT_EQ(row.dist[5], kInfiniteDistance);
+    // Exhausted: the whole component is exact, as in the full run.
+    expect_trees_equal(row, engine.shortest_paths_masked(g, 0, mask));
+  }
+}
+
+TEST(SpDial, ShortestPathsToValidatesArguments) {
+  Graph g(3);
+  g.add_edge(0, 1, 1.0);
+  SpEngine engine;
+  const std::vector<VertexId> bad{7};
+  EXPECT_THROW(engine.shortest_paths_to(g, 0, bad), std::out_of_range);
+  const std::vector<VertexId> ok{1};
+  EXPECT_THROW(engine.shortest_paths_to(g, 9, ok), std::out_of_range);
+  const std::vector<std::uint8_t> no_mask;  // empty: every edge allowed
+  EXPECT_NO_THROW(engine.shortest_paths_to(g, 0, ok, no_mask));
+  Graph h(3);
+  h.add_edge(0, 1, 1.0);
+  h.add_edge(1, 2, 1.0);
+  const std::vector<std::uint8_t> one_byte{1};
+  EXPECT_THROW(engine.shortest_paths_to(h, 0, ok, one_byte), std::invalid_argument);
 }
 
 class SpBatch : public ::testing::TestWithParam<std::size_t> {
