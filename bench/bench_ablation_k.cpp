@@ -5,8 +5,9 @@
 // Cost is non-increasing in K (more combinations are explored) while the
 // combination space grows roughly with C(|V_S|, K); the paper fixes K = 3.
 // Every K row runs BOTH searches over the same requests: the row reports the
-// branch-and-bound timings/counters and `speedup_vs_exhaustive` (legacy
-// wall time / branch-and-bound wall time). The two searches must agree
+// branch-and-bound timings/counters and `speedup_vs_exhaustive` (exhaustive
+// wall time / branch-and-bound wall time). The exhaustive sweep is the
+// reference implementation in tests/oracle. The two searches must agree
 // exactly on every decision — the bench exits non-zero if they diverge.
 // The trailing beam rows (K = 6, m = 2 and m = 4) measure the opt-in
 // approximate mode; their `exact` column records whether the beamed cost
@@ -22,6 +23,7 @@
 //    suffices - a steep combination landscape that the branch-and-bound
 //    bounds prune more than half away.
 #include "bench_common.h"
+#include "oracle.h"
 #include "topology/geant.h"
 
 namespace {
@@ -36,17 +38,21 @@ struct ModeResult {
   std::size_t pruned = 0;
 };
 
+/// core::appro_multi (branch-and-bound) or oracle::appro_multi_sweep.
+using Solver = core::OfflineSolution (*)(const topo::Topology&,
+                                         const core::LinearCosts&,
+                                         const nfv::Request&,
+                                         const core::ApproMultiOptions&);
+
 ModeResult run_mode(const topo::Topology& topo, const core::LinearCosts& costs,
                     const std::vector<nfv::Request>& requests, std::size_t k,
-                    core::ApproMultiOptions::Search search,
-                    std::size_t beam_width) {
+                    Solver solve, std::size_t beam_width) {
   ModeResult r;
   r.stats = bench::run_offline_batch(requests, [&](const nfv::Request& req) {
     core::ApproMultiOptions opts;
     opts.max_servers = k;
-    opts.search = search;
     opts.beam_width = beam_width;
-    core::OfflineSolution sol = core::appro_multi(topo, costs, req, opts);
+    core::OfflineSolution sol = solve(topo, costs, req, opts);
     r.evaluated += sol.combinations_explored;
     r.pruned += sol.combinations_pruned;
     return sol;
@@ -56,7 +62,7 @@ ModeResult run_mode(const topo::Topology& topo, const core::LinearCosts& costs,
 
 void add_row(util::Table& table, const std::string& topo_name, std::size_t k,
              const std::string& search, const ModeResult& r, double k1_cost,
-             double legacy_ms, std::size_t num_requests, bool exact) {
+             double exhaustive_ms, std::size_t num_requests, bool exact) {
   const std::size_t space = r.evaluated + r.pruned;
   const std::size_t per_req = std::max<std::size_t>(num_requests, 1);
   table.begin_row()
@@ -73,7 +79,9 @@ void add_row(util::Table& table, const std::string& topo_name, std::size_t k,
                            static_cast<double>(space)
                      : 0.0,
            1)
-      .add(r.stats.time_ms.mean() > 0 ? legacy_ms / r.stats.time_ms.mean() : 0.0,
+      .add(r.stats.time_ms.mean() > 0
+               ? exhaustive_ms / r.stats.time_ms.mean()
+               : 0.0,
            2)
       .add(exact ? "yes" : "no");
 }
@@ -92,14 +100,13 @@ bool sweep(const topo::Topology& topo, const core::LinearCosts& costs,
            const std::vector<nfv::Request>& requests, util::Table& table) {
   bool all_exact = true;
   double k1_cost = 0.0;
-  double legacy_k6_ms = 0.0;
+  double exhaustive_k6_ms = 0.0;
   double bnb_k6_cost = 0.0;
   for (std::size_t k = 1; k <= kMaxK; ++k) {
-    const ModeResult legacy = run_mode(topo, costs, requests, k,
-                                       core::ApproMultiOptions::Search::kLegacySweep, 0);
-    const ModeResult bnb = run_mode(topo, costs, requests, k,
-                                    core::ApproMultiOptions::Search::kBranchAndBound, 0);
-    const bool exact = same_decisions(legacy, bnb);
+    const ModeResult exhaustive =
+        run_mode(topo, costs, requests, k, oracle::appro_multi_sweep, 0);
+    const ModeResult bnb = run_mode(topo, costs, requests, k, core::appro_multi, 0);
+    const bool exact = same_decisions(exhaustive, bnb);
     if (!exact) {
       std::cerr << "ERROR: branch-and-bound diverged from the exhaustive sweep "
                 << "on " << topo.name << " at K=" << k << "\n";
@@ -107,17 +114,16 @@ bool sweep(const topo::Topology& topo, const core::LinearCosts& costs,
     }
     if (k == 1) k1_cost = bnb.stats.cost.mean();
     if (k == kMaxK) {
-      legacy_k6_ms = legacy.stats.time_ms.mean();
+      exhaustive_k6_ms = exhaustive.stats.time_ms.mean();
       bnb_k6_cost = bnb.stats.cost.mean();
     }
     add_row(table, topo.name, k, "bnb", bnb, k1_cost,
-            legacy.stats.time_ms.mean(), requests.size(), exact);
+            exhaustive.stats.time_ms.mean(), requests.size(), exact);
   }
   for (const std::size_t m : {std::size_t{2}, std::size_t{4}}) {
-    const ModeResult beam = run_mode(topo, costs, requests, kMaxK,
-                                     core::ApproMultiOptions::Search::kBranchAndBound, m);
+    const ModeResult beam = run_mode(topo, costs, requests, kMaxK, core::appro_multi, m);
     add_row(table, topo.name, kMaxK, "beam_m" + std::to_string(m), beam,
-            k1_cost, legacy_k6_ms, requests.size(),
+            k1_cost, exhaustive_k6_ms, requests.size(),
             beam.stats.cost.mean() == bnb_k6_cost);
   }
   return all_exact;

@@ -1,8 +1,9 @@
 // Micro-benchmark for the online admission fast path:
 //
-//   * the legacy rebuild path (filter the weighted graph and run per-server
-//     Dijkstras from scratch on every request) vs the incremental path (a
-//     persistent OnlineWeightedView patched after each admission plus the
+//   * the rebuild path (filter the weighted graph and run per-server
+//     Dijkstras from scratch on every request; the reference implementation
+//     in tests/oracle) vs the production incremental path (a persistent
+//     OnlineWeightedView patched after each admission plus the
 //     shared-closure server scan),
 //   * Online_CP and Online_SP, on GEANT and Waxman sweeps up to 400 nodes,
 //   * periodic departures so the era reset (release -> cache drop) is paid
@@ -28,6 +29,7 @@
 #include "bench_common.h"
 #include "core/online_cp.h"
 #include "core/online_sp.h"
+#include "oracle.h"
 #include "topology/geant.h"
 
 namespace {
@@ -188,17 +190,13 @@ int main() {
   };
 
   const auto make_cp_rebuild = [](const topo::Topology& topo) {
-    core::OnlineCpOptions opts;
-    opts.incremental_view = false;
-    return core::OnlineCp(topo, opts);
+    return oracle::OnlineCpRebuild(topo);
   };
   const auto make_cp_fast = [](const topo::Topology& topo) {
     return core::OnlineCp(topo);
   };
   const auto make_sp_rebuild = [](const topo::Topology& topo) {
-    core::OnlineSpOptions opts;
-    opts.incremental_view = false;
-    return core::OnlineSp(topo, opts);
+    return oracle::OnlineSpRebuild(topo);
   };
   const auto make_sp_fast = [](const topo::Topology& topo) {
     return core::OnlineSp(topo);

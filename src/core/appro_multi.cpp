@@ -1,6 +1,5 @@
 #include "core/appro_multi.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/aux_graph.h"
@@ -13,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/combinatorics.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace nfvm::core {
@@ -29,7 +27,6 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
     throw std::invalid_argument(
         "appro_multi: the shared-Dijkstra engine requires the KMB Steiner engine");
   }
-  const bool bnb = options.search == ApproMultiOptions::Search::kBranchAndBound;
 
   NFVM_SPAN("appro_multi");
   NFVM_COUNTER_INC("core.appro_multi.calls");
@@ -48,12 +45,9 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
   }
 
   // Destination SP trees feed the beam centrality score and the
-  // branch-and-bound lower bounds; the legacy unbeamed sweep never needs
-  // them, so it skips the fan-out entirely.
-  std::vector<std::shared_ptr<const graph::ShortestPaths>> dest_trees;
-  if (bnb || options.beam_width != 0) {
-    dest_trees = context_trees(ctx, request.destinations);
-  }
+  // branch-and-bound lower bounds.
+  const std::vector<std::shared_ptr<const graph::ShortestPaths>> dest_trees =
+      context_trees(ctx, request.destinations);
   const std::vector<graph::VertexId> pool =
       options.beam_width != 0
           ? beam_server_pool(ctx, dest_trees, options.beam_width)
@@ -69,118 +63,11 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
   terminals.insert(terminals.end(), request.destinations.begin(),
                    request.destinations.end());
 
-  if (!bnb) {
-    struct Candidate {
-      double cost;
-      std::vector<graph::VertexId> combo;
-      std::vector<graph::EdgeId> tree_edges;  // ids in the aux graph
-    };
-    std::vector<Candidate> candidates;
-
-    // Enumerate the server combinations up front (cheap), then evaluate them
-    // across the thread pool. Each evaluation writes only its own slot and the
-    // results are collected in enumeration order, so the admitted tree is
-    // identical for any thread count.
-    std::vector<std::vector<graph::VertexId>> combos;
-    const std::size_t max_k = std::min(options.max_servers, pool.size());
-    bool budget_left = true;
-    {
-      NFVM_SPAN("appro_multi/enumerate_servers");
-      NFVM_OBS_ONLY(phase_watch.reset();)
-      for (std::size_t k = 1; k <= max_k && budget_left; ++k) {
-        std::vector<std::size_t> idx(k);
-        for (std::size_t i = 0; i < k; ++i) idx[i] = i;
-        do {
-          if (combos.size() >= options.max_combinations) {
-            budget_left = false;
-            break;
-          }
-          std::vector<graph::VertexId> combo(k);
-          for (std::size_t i = 0; i < k; ++i) combo[i] = pool[idx[i]];
-          combos.push_back(std::move(combo));
-        } while (util::next_combination(idx, pool.size()));
-      }
-      NFVM_HDR_OBSERVE("core.appro_multi.enumerate_us", phase_watch.elapsed_us());
-    }
-    sol.combinations_explored = combos.size();
-
-    struct Evaluated {
-      bool connected = false;
-      double cost = 0.0;
-      std::vector<graph::EdgeId> tree_edges;
-    };
-    std::vector<Evaluated> evaluated(combos.size());
-    {
-      NFVM_SPAN("appro_multi/evaluate_combinations");
-      NFVM_OBS_ONLY(phase_watch.reset();)
-      util::ThreadPool::global().parallel_for(combos.size(), [&](std::size_t i) {
-        graph::SteinerResult st;
-        if (shared) {
-          // Overlay + shared tables: no per-combination graph copy at all.
-          const AuxOverlay aux = build_aux_overlay(ctx, request.source, combos[i]);
-          st = SharedComboSolver(oracle, aux).solve();
-        } else {
-          const AuxiliaryGraph aux =
-              build_auxiliary_graph(ctx, request.source, combos[i]);
-          st = graph::steiner_tree(aux.graph, terminals, options.steiner_engine);
-        }
-        evaluated[i] = Evaluated{st.connected, st.weight, std::move(st.edges)};
-      });
-      NFVM_HDR_OBSERVE("core.appro_multi.evaluate_us", phase_watch.elapsed_us());
-    }
-    candidates.reserve(combos.size());
-    for (std::size_t i = 0; i < combos.size(); ++i) {
-      if (!evaluated[i].connected) continue;
-      candidates.push_back(Candidate{evaluated[i].cost, std::move(combos[i]),
-                                     std::move(evaluated[i].tree_edges)});
-    }
-    NFVM_COUNTER_ADD("core.appro_multi.combinations_explored",
-                     sol.combinations_explored);
-    // HDR since nfvm-metrics-v2: p50/p90/p99 of this instrument are now tight
-    // (<= 1% relative error) instead of factor-2 log2 estimates.
-    NFVM_HDR_OBSERVE("core.appro_multi.combinations_per_call",
-                     sol.combinations_explored);
-
-    if (candidates.empty()) {
-      sol.reject_reason = "no server combination connects the source to all destinations";
-      return sol;
-    }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate& a, const Candidate& b) { return a.cost < b.cost; });
-    NFVM_SPAN("appro_multi/realize_cheapest");
-    NFVM_OBS_ONLY(phase_watch.reset();
-                  const auto observe_realize = [&phase_watch] {
-                    NFVM_HDR_OBSERVE("core.appro_multi.realize_us",
-                                     phase_watch.elapsed_us());
-                  };)
-    for (const Candidate& cand : candidates) {
-      // Realization only needs edge weights/endpoints and the source's
-      // shortest-path tree — the overlay suffices for both engines (the edge-id
-      // scheme is shared), so the second full graph copy is gone too.
-      const AuxOverlay aux = build_aux_overlay(ctx, request.source, cand.combo);
-      PseudoMulticastTree tree = realize_pseudo_tree(ctx, aux, cand.tree_edges, request);
-      if (!meets_delay_bound(topo, request, tree)) continue;
-      if (options.resources != nullptr &&
-          !options.resources->can_allocate(tree.footprint(request, topo.graph))) {
-        // Cheapest tree needs more residual than available once traversal
-        // multiplicities are charged; fall through to the next combination.
-        continue;
-      }
-      sol.admitted = true;
-      sol.tree = std::move(tree);
-      NFVM_OBS_ONLY(observe_realize();)
-      return sol;
-    }
-
-    NFVM_OBS_ONLY(observe_realize();)
-    sol.reject_reason = "every candidate tree violates capacity or delay constraints";
-    return sol;
-  }
-
-  // Branch-and-bound search. The evaluator is byte-for-byte the legacy
-  // per-combination evaluation, so equal combinations yield bitwise-equal
-  // costs and trees; the search therefore returns exactly the combination
-  // the legacy sweep would have ranked first (see core/combo_search.h).
+  // Branch-and-bound search. The evaluator is the plain per-combination
+  // evaluation, so equal combinations yield bitwise-equal costs and trees;
+  // the search therefore returns exactly the combination an exhaustive sweep
+  // would rank first (see core/combo_search.h; the sweep itself lives in
+  // tests/oracle as the equivalence reference).
   NFVM_SPAN("appro_multi/branch_and_bound");
   NFVM_OBS_ONLY(phase_watch.reset();)
   const ComboBounds bounds(ctx, request, pool, dest_trees);
@@ -201,7 +88,7 @@ OfflineSolution appro_multi(const topo::Topology& topo, const LinearCosts& costs
 
   // Realize-fallthrough: when the cheapest tree violates the delay bound or
   // the residual capacities, re-search with its key as the floor to obtain
-  // the next candidate in the legacy sort order. Each pass spends from the
+  // the next candidate in the exhaustive sort order. Each pass spends from the
   // same evaluation budget.
   ComboKey floor;
   bool have_floor = false;

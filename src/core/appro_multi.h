@@ -7,6 +7,11 @@
 // returned pseudo-multicast tree routes every destination's traffic through
 // one of the chosen servers. Approximation ratio: 2K (Theorem 1).
 //
+// The cheapest combination is found by a deterministic branch-and-bound
+// over combination prefixes (core/combo_search.h). It returns the same cost
+// and the same argmin as evaluating every combination, bit for bit at any
+// thread count, while evaluating a fraction of them.
+//
 // Appro_Multi_Cap is the same algorithm run on the subgraph of links with
 // residual bandwidth >= b_k and servers with residual computing >= the
 // chain demand; pass `resources` to enable it.
@@ -36,7 +41,7 @@ struct OfflineSolution {
   /// (Alg_One_Server) evaluated.
   std::size_t combinations_explored = 0;
   /// Combinations the branch-and-bound search discarded via lower bounds
-  /// without evaluating (0 for the legacy sweep and for Alg_One_Server).
+  /// without evaluating (0 for Alg_One_Server).
   std::size_t combinations_pruned = 0;
 };
 
@@ -46,12 +51,12 @@ struct ApproMultiOptions {
   /// Non-null enables the capacitated variant (Appro_Multi_Cap).
   const nfv::ResourceState* resources = nullptr;
   /// Safety valve for pathological |V_S| choose K blow-ups: the number of
-  /// combinations *evaluated* per request, counted identically in both
-  /// search modes (branch-and-bound counts evaluator calls across every
+  /// combinations *evaluated* per request (evaluator calls across every
   /// re-search pass; pruned combinations are free and do not consume
   /// budget). The search stops deterministically once the budget is spent.
-  /// When the valve actually binds, the two modes may legitimately return
-  /// different results — they spend the budget on different combinations.
+  /// When the valve binds, the result may differ from an exhaustive sweep
+  /// capped at the same count, which spends the budget on other
+  /// combinations.
   std::size_t max_combinations = std::numeric_limits<std::size_t>::max();
   /// Steiner approximation used inside every auxiliary graph (paper: KMB).
   graph::SteinerEngine steiner_engine = graph::SteinerEngine::kKmb;
@@ -68,18 +73,6 @@ struct ApproMultiOptions {
   ///    steiner_engine == kKmb (throws std::invalid_argument otherwise).
   enum class Engine { kReference, kSharedDijkstra };
   Engine engine = Engine::kReference;
-  /// Combination-search strategy:
-  ///  * kBranchAndBound (default) — deterministic branch-and-bound over
-  ///    combination prefixes with admissible lower bounds
-  ///    (core/combo_search.h). Returns the same cost and the same argmin
-  ///    combination as the exhaustive sweep — bit-identical decisions at
-  ///    any thread count — while evaluating a fraction of the
-  ///    combinations.
-  ///  * kLegacySweep — materialize and evaluate every combination, then
-  ///    sort (the original implementation; kept as the equivalence
-  ///    baseline).
-  enum class Search { kLegacySweep, kBranchAndBound };
-  Search search = Search::kBranchAndBound;
   /// Opt-in beam mode: restrict the sweep to the `beam_width` most central
   /// eligible servers (see beam_server_pool). 0 (default) or >= |V_S|
   /// disables the restriction and keeps the search exact; smaller widths

@@ -1,7 +1,8 @@
 // Deterministic branch-and-bound over Appro_Multi server-combination
 // prefixes.
 //
-// The legacy sweep materializes every combination of at most K servers and
+// An exhaustive sweep (oracle::appro_multi_sweep, the reference in
+// tests/oracle) materializes every combination of at most K servers and
 // evaluates all of them. This search walks the same combination space as a
 // prefix tree level by level (size-major; within a level candidates are
 // taken in ascending lower-bound order so the incumbent tightens early),
@@ -42,9 +43,9 @@ struct ComboEvaluation {
 };
 
 /// Canonical ranking key for a combination: cost, then combination size,
-/// then lexicographic pool indices. The legacy sweep's stable sort by cost
-/// over size-major/lex enumeration order ranks candidates by exactly this
-/// key, so agreeing on the minimum key reproduces the legacy argmin.
+/// then lexicographic pool indices. The exhaustive sweep's stable sort by
+/// cost over size-major/lex enumeration order ranks candidates by exactly
+/// this key, so agreeing on the minimum key reproduces its argmin.
 struct ComboKey {
   double cost = 0.0;
   /// Strictly increasing indices into the server pool.
@@ -68,7 +69,8 @@ struct ComboSearchResult {
   std::size_t pruned = 0;
   /// True when the evaluation budget stopped the search before the
   /// combination space was exhausted; the result is then the best among the
-  /// combinations evaluated so far (matching the legacy budget valve).
+  /// combinations evaluated so far (matching the exhaustive sweep's budget
+  /// valve).
   bool budget_exhausted = false;
 };
 
@@ -84,7 +86,7 @@ class ComboSearch {
 
   /// The minimum-key combination, or — when `floor` is non-null — the
   /// minimum-key combination with key strictly greater than `*floor`.
-  /// The floor reproduces the legacy realize-fallthrough: callers re-search
+  /// The floor reproduces the sweep's realize-fallthrough: callers re-search
   /// with the rejected candidate's key to obtain the next-cheapest
   /// candidate. The floor cannot tighten pruning (an equal-cost,
   /// larger-index candidate still qualifies), so bounds only compare

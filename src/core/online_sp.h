@@ -4,28 +4,21 @@
 // the shortest path s_k -> v plus a shortest-path tree rooted at v spanning
 // the destinations; the candidate using the fewest link traversals wins.
 // No admission thresholds: SP admits whenever some candidate is feasible.
+//
+// The scan runs against a persistent working view with one cached
+// shortest-path tree per terminal (core/online_view.h); see
+// docs/performance.md, "The online fast path". tests/oracle holds the
+// per-request rebuild it must match.
 #pragma once
-
-#include <optional>
 
 #include "core/online.h"
 #include "core/online_view.h"
 
 namespace nfvm::core {
 
-struct OnlineSpOptions {
-  /// Admission fast path: evaluate the server scan against a persistent
-  /// working view with one cached shortest-path tree per terminal instead of
-  /// filtering the graph and running per-server Dijkstras from scratch each
-  /// request. Bit-identical decisions to the rebuild path at any thread
-  /// count. See docs/performance.md, "The online fast path".
-  bool incremental_view = true;
-};
-
 class OnlineSp final : public OnlineAlgorithm {
  public:
   explicit OnlineSp(const topo::Topology& topo);
-  OnlineSp(const topo::Topology& topo, const OnlineSpOptions& options);
 
   std::string_view name() const override { return "SP"; }
 
@@ -33,15 +26,13 @@ class OnlineSp final : public OnlineAlgorithm {
   AdmissionDecision try_admit(const nfv::Request& request) override;
   void after_allocate(const nfv::Footprint& footprint) override;
   void after_release(const nfv::Footprint& footprint) override;
+  void after_restore() override;
 
  private:
-  AdmissionDecision try_admit_rebuild(const nfv::Request& request);
-  AdmissionDecision try_admit_fast(const nfv::Request& request);
-
-  /// Engaged iff options.incremental_view. SP's working weights are the
-  /// physical link weights (constant), so allocations never dirty cached
-  /// trees — only releases drop them.
-  std::optional<OnlineWeightedView> view_;
+  /// SP's working weights are the physical link weights (constant), so
+  /// allocations never dirty cached trees — only releases and restores drop
+  /// them.
+  OnlineWeightedView view_;
 };
 
 }  // namespace nfvm::core

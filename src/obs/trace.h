@@ -1,6 +1,6 @@
 // Scoped tracing spans with Chrome trace_event export.
 //
-//   NFVM_SPAN("appro_multi/enumerate_servers");
+//   NFVM_SPAN("appro_multi/branch_and_bound");
 //
 // declares an RAII scope: if the global tracer is recording, the span's
 // wall-clock interval is appended to the trace buffer on scope exit.

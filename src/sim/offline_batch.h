@@ -39,9 +39,6 @@ struct OfflineBatchOptions {
   /// Combination-sweep engine passed through to Appro_Multi.
   core::ApproMultiOptions::Engine engine =
       core::ApproMultiOptions::Engine::kSharedDijkstra;
-  /// Combination-search strategy passed through to Appro_Multi.
-  core::ApproMultiOptions::Search search =
-      core::ApproMultiOptions::Search::kBranchAndBound;
   /// Beam width passed through to Appro_Multi (0 = exact full pool).
   std::size_t beam_width = 0;
 };

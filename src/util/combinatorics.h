@@ -1,6 +1,6 @@
 // K-combination enumeration and counting, shared by the offline sweeps
-// (Appro_Multi's legacy sweep, the exact offline solvers and the
-// branch-and-bound combination search).
+// (the exact offline solvers, the branch-and-bound combination search and
+// the exhaustive-sweep test oracle).
 #pragma once
 
 #include <cstddef>

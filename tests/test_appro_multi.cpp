@@ -4,6 +4,7 @@
 
 #include "graph/components.h"
 #include "graph/subgraph.h"
+#include "oracle.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
 
@@ -61,15 +62,14 @@ TEST(ApproMulti, ExploresAllCombinationsForK2) {
   PathFixture f;
   ApproMultiOptions opts;
   opts.max_servers = 2;
-  opts.search = ApproMultiOptions::Search::kLegacySweep;
-  const OfflineSolution sol = appro_multi(f.topo, f.costs, f.request, opts);
-  // C(2,1) + C(2,2) = 3 combinations, all evaluated by the legacy sweep.
+  const OfflineSolution sol =
+      oracle::appro_multi_sweep(f.topo, f.costs, f.request, opts);
+  // C(2,1) + C(2,2) = 3 combinations, all evaluated by the exhaustive sweep.
   EXPECT_EQ(sol.combinations_explored, 3u);
   EXPECT_EQ(sol.combinations_pruned, 0u);
 
   // Branch-and-bound accounts for the same space: every combination is
   // either evaluated or pruned by the lower bound, never silently dropped.
-  opts.search = ApproMultiOptions::Search::kBranchAndBound;
   const OfflineSolution bnb = appro_multi(f.topo, f.costs, f.request, opts);
   EXPECT_EQ(bnb.combinations_explored + bnb.combinations_pruned, 3u);
   EXPECT_EQ(bnb.tree.cost, sol.tree.cost);

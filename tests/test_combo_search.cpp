@@ -1,5 +1,6 @@
-// Branch-and-bound combination search: exhaustive equivalence, beam
-// monotonicity, pruning accounting and thread-count invariance.
+// Branch-and-bound combination search: equivalence with the exhaustive
+// sweep (oracle::appro_multi_sweep), beam monotonicity, pruning accounting
+// and thread-count invariance.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -7,6 +8,7 @@
 
 #include "core/appro_multi.h"
 #include "nfv/resources.h"
+#include "oracle.h"
 #include "sim/request_gen.h"
 #include "topology/geant.h"
 #include "topology/waxman.h"
@@ -61,23 +63,27 @@ Instance geant_instance(std::uint64_t seed, std::size_t dests) {
   return inst;
 }
 
-/// The branch-and-bound result must match the legacy sweep EXACTLY —
+/// The branch-and-bound result must match the exhaustive sweep EXACTLY —
 /// bitwise-equal cost, same servers, same edge multiset, same reject
 /// reason — because the search guarantees the same argmin combination.
-void expect_same_decision(const OfflineSolution& legacy,
+void expect_same_decision(const OfflineSolution& sweep,
                           const OfflineSolution& bnb) {
-  ASSERT_EQ(legacy.admitted, bnb.admitted);
-  if (legacy.admitted) {
-    EXPECT_EQ(legacy.tree.cost, bnb.tree.cost);
-    EXPECT_EQ(legacy.tree.servers, bnb.tree.servers);
-    EXPECT_EQ(legacy.tree.edge_uses, bnb.tree.edge_uses);
+  ASSERT_EQ(sweep.admitted, bnb.admitted);
+  if (sweep.admitted) {
+    EXPECT_EQ(sweep.tree.cost, bnb.tree.cost);
+    EXPECT_EQ(sweep.tree.servers, bnb.tree.servers);
+    EXPECT_EQ(sweep.tree.edge_uses, bnb.tree.edge_uses);
   } else {
-    EXPECT_EQ(legacy.reject_reason, bnb.reject_reason);
+    EXPECT_EQ(sweep.reject_reason, bnb.reject_reason);
   }
 }
 
 OfflineSolution run(const Instance& inst, const ApproMultiOptions& opts) {
   return appro_multi(inst.topo, inst.costs, inst.request, opts);
+}
+
+OfflineSolution run_sweep(const Instance& inst, const ApproMultiOptions& opts) {
+  return oracle::appro_multi_sweep(inst.topo, inst.costs, inst.request, opts);
 }
 
 struct Case {
@@ -97,20 +103,17 @@ TEST_P(BnbEquivalenceTest, MatchesExhaustiveSweepAtAnyThreadCount) {
 
   for (const auto engine : {ApproMultiOptions::Engine::kReference,
                             ApproMultiOptions::Engine::kSharedDijkstra}) {
-    ApproMultiOptions legacy_opts;
-    legacy_opts.max_servers = c.k;
-    legacy_opts.engine = engine;
-    legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
-    ApproMultiOptions bnb_opts = legacy_opts;
-    bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
+    ApproMultiOptions opts;
+    opts.max_servers = c.k;
+    opts.engine = engine;
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       util::ThreadPool::set_global_threads(threads);
-      const OfflineSolution legacy = run(inst, legacy_opts);
-      const OfflineSolution bnb = run(inst, bnb_opts);
-      expect_same_decision(legacy, bnb);
-      EXPECT_EQ(legacy.combinations_pruned, 0u);
-      EXPECT_LE(bnb.combinations_explored, legacy.combinations_explored);
+      const OfflineSolution sweep = run_sweep(inst, opts);
+      const OfflineSolution bnb = run(inst, opts);
+      expect_same_decision(sweep, bnb);
+      EXPECT_EQ(sweep.combinations_pruned, 0u);
+      EXPECT_LE(bnb.combinations_explored, sweep.combinations_explored);
     }
   }
 }
@@ -130,19 +133,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ComboSearch, RealizeFallthroughMatchesLegacyUnderDelayBound) {
   GlobalThreadsGuard guard;
   // Tight delay bounds knock out the cheapest candidates, exercising the
-  // floor-based re-search against the legacy sorted fallthrough.
+  // floor-based re-search against the exhaustive sorted fallthrough.
   for (std::uint64_t seed : {31u, 32u, 33u, 34u}) {
     Instance inst = random_instance(seed, 40, 4);
     util::Rng delay_rng(seed + 1000);
     topo::assign_delays(inst.topo, delay_rng);
     for (const double delay_ms : {2.0, 5.0, 10.0, 40.0}) {
       inst.request.max_delay_ms = delay_ms;
-      ApproMultiOptions legacy_opts;
-      legacy_opts.max_servers = 3;
-      legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
-      ApproMultiOptions bnb_opts = legacy_opts;
-      bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
-      expect_same_decision(run(inst, legacy_opts), run(inst, bnb_opts));
+      ApproMultiOptions opts;
+      opts.max_servers = 3;
+      expect_same_decision(run_sweep(inst, opts), run(inst, opts));
     }
   }
 }
@@ -158,30 +158,26 @@ TEST(ComboSearch, RealizeFallthroughMatchesLegacyUnderCapacity) {
     state_a.allocate(fp);
     state_b.allocate(fp);
   }
-  ApproMultiOptions legacy_opts;
-  legacy_opts.max_servers = 3;
-  legacy_opts.resources = &state_a;
-  legacy_opts.search = ApproMultiOptions::Search::kLegacySweep;
-  ApproMultiOptions bnb_opts = legacy_opts;
+  ApproMultiOptions sweep_opts;
+  sweep_opts.max_servers = 3;
+  sweep_opts.resources = &state_a;
+  ApproMultiOptions bnb_opts = sweep_opts;
   bnb_opts.resources = &state_b;
-  bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
-  expect_same_decision(run(inst, legacy_opts), run(inst, bnb_opts));
+  expect_same_decision(run_sweep(inst, sweep_opts), run(inst, bnb_opts));
 }
 
 TEST(ComboSearch, PruningAccountingCoversTheCombinationSpace) {
   GlobalThreadsGuard guard;
   for (std::uint64_t seed : {51u, 52u, 53u}) {
     const Instance inst = random_instance(seed, 40, 4);
-    // |V_S| via the K = 1 legacy sweep (it evaluates every single server).
+    // |V_S| via the K = 1 exhaustive sweep (it evaluates every server).
     ApproMultiOptions probe;
     probe.max_servers = 1;
-    probe.search = ApproMultiOptions::Search::kLegacySweep;
-    const std::size_t n = run(inst, probe).combinations_explored;
+    const std::size_t n = run_sweep(inst, probe).combinations_explored;
     ASSERT_GT(n, 0u);
 
     ApproMultiOptions bnb_opts;
     bnb_opts.max_servers = 3;
-    bnb_opts.search = ApproMultiOptions::Search::kBranchAndBound;
     const OfflineSolution sol = run(inst, bnb_opts);
     // Uncapacitated, no delay bound: the cheapest candidate realizes on the
     // first pass, so every combination was either evaluated or pruned.
@@ -212,13 +208,10 @@ TEST(ComboSearch, ExploredAndPrunedAreThreadCountInvariant) {
 TEST(ComboSearch, EvaluationBudgetIsRespectedInBothModes) {
   GlobalThreadsGuard guard;
   const Instance inst = random_instance(71, 40, 3);
-  for (const auto search : {ApproMultiOptions::Search::kLegacySweep,
-                            ApproMultiOptions::Search::kBranchAndBound}) {
-    ApproMultiOptions opts;
-    opts.max_servers = 3;
-    opts.max_combinations = 5;
-    opts.search = search;
-    const OfflineSolution sol = run(inst, opts);
+  ApproMultiOptions opts;
+  opts.max_servers = 3;
+  opts.max_combinations = 5;
+  for (const OfflineSolution& sol : {run_sweep(inst, opts), run(inst, opts)}) {
     EXPECT_LE(sol.combinations_explored, 5u);
     EXPECT_GE(sol.combinations_explored, 1u);
   }
@@ -233,11 +226,10 @@ TEST(BeamSearch, CostIsNonIncreasingInWidthAndExactAtFullPool) {
     const OfflineSolution exact = run(inst, exact_opts);
     ASSERT_TRUE(exact.admitted);
 
-    // |V_S| from the K = 1 legacy sweep.
+    // |V_S| from the K = 1 exhaustive sweep.
     ApproMultiOptions probe;
     probe.max_servers = 1;
-    probe.search = ApproMultiOptions::Search::kLegacySweep;
-    const std::size_t n = run(inst, probe).combinations_explored;
+    const std::size_t n = run_sweep(inst, probe).combinations_explored;
 
     double prev = std::numeric_limits<double>::infinity();
     for (std::size_t m = 1; m <= n; ++m) {

@@ -11,9 +11,15 @@
 #include <string>
 #include <vector>
 
+#include "obs/hdr_histogram.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "obs_test_util.h"
+
+#ifndef NFVM_SOURCE_DIR
+#define NFVM_SOURCE_DIR "."
+#endif
 
 namespace nfvm::obs {
 namespace {
@@ -24,12 +30,12 @@ TEST(EstimateQuantile, EmptyHistogramIsNaN) {
   EXPECT_TRUE(std::isnan(estimate_quantile({}, 0.5, kInf, -kInf)));
   EXPECT_TRUE(std::isnan(
       estimate_quantile({{2.0, 0}, {4.0, 0}}, 0.5, kInf, -kInf)));
-  Histogram h;
+  HdrHistogram h;
   EXPECT_TRUE(std::isnan(estimate_quantile(h, 0.5)));
 }
 
 TEST(EstimateQuantile, SingleSampleReturnsExactValueViaMinMaxClamp) {
-  Histogram h;
+  HdrHistogram h;
   h.observe(3.0);
   // min == max == 3 clamps the interpolation to the sample itself.
   EXPECT_DOUBLE_EQ(estimate_quantile(h, 0.5), 3.0);
@@ -61,18 +67,16 @@ TEST(EstimateQuantile, WalksCumulativeCounts) {
 }
 
 TEST(EstimateQuantile, WithinFactorOfTwoOfTrueQuantile) {
-  // The documented error bound: for samples > 1 the estimate lives in the
-  // same base-2 bucket as the true quantile, so it is off by < 2x.
-  Histogram h;
+  // The documented error bound for the base-2 buckets of older metrics
+  // files: for samples > 1 the estimate lives in the same bucket as the
+  // true quantile, so it is off by < 2x.
   std::vector<double> samples;
-  for (int i = 1; i <= 1000; ++i) {
-    const double s = 1.0 + 0.25 * i;  // 1.25 .. 251
-    samples.push_back(s);
-    h.observe(s);
-  }
+  for (int i = 1; i <= 1000; ++i) samples.push_back(1.0 + 0.25 * i);  // 1.25 .. 251
+  const std::vector<HistogramBucket> buckets = test::log2_buckets(samples);
   for (const double q : {0.5, 0.9, 0.99}) {
     const double truth = samples[static_cast<std::size_t>(q * samples.size()) - 1];
-    const double estimate = estimate_quantile(h, q);
+    const double estimate =
+        estimate_quantile(buckets, q, samples.front(), samples.back());
     EXPECT_GT(estimate, truth / 2.0) << "q=" << q;
     EXPECT_LT(estimate, truth * 2.0) << "q=" << q;
   }
@@ -92,10 +96,26 @@ TEST(ReportValidate, AcceptsRegistryOutput) {
   Registry registry;
   registry.counter("a")->add(3);
   registry.gauge("g")->set(0.5);
-  registry.histogram("h")->observe(7.0);
-  registry.histogram("h")->observe(1e30);  // lands in the overflow bucket
+  registry.hdr_histogram("h")->observe(7.0);
+  registry.hdr_histogram("h")->observe(1e30);  // lands in the overflow bucket
   const JsonValue doc = parse_json(registry.to_json());
   EXPECT_EQ(report::validate_document(doc), "");
+}
+
+TEST(ReportValidate, AcceptsLog2HistogramKind) {
+  // Older writers tagged base-2 histograms "kind": "log2"; the reader keeps
+  // accepting them alongside "hdr".
+  EXPECT_EQ(report::validate_document(parse_json(
+                R"({"schema":"nfvm-metrics-v2","counters":{},"gauges":{},)"
+                R"("histograms":{"h":{"kind":"log2","count":3,"sum":13,)"
+                R"("min":1,"max":8,"p50":4,"p90":8,"p99":8,)"
+                R"("buckets":[{"le":1,"count":1},{"le":2,"count":0},)"
+                R"({"le":4,"count":1},{"le":8,"count":1}]}}})")),
+            "");
+  EXPECT_NE(report::validate_document(parse_json(
+                R"({"counters":{},"gauges":{},"histograms":{"h":{"kind":"linear",)"
+                R"("count":0,"sum":0,"buckets":[]}}})")),
+            "");
 }
 
 TEST(ReportValidate, RejectsBrokenMetrics) {
@@ -159,6 +179,21 @@ TEST(ReportLoad, FlattensMetricsIntoScalars) {
   EXPECT_EQ(a.scalars.at("gauges.load"), 0.5);
   EXPECT_EQ(a.scalars.at("histograms.route_ms.count"), 100.0);
   EXPECT_EQ(a.scalars.at("histograms.route_ms.p50"), 2.5);
+}
+
+TEST(ReportLoad, ReadsUntaggedV1Log2Fixture) {
+  // tests/data/metrics_base.json is an nfvm-metrics-v1 document (no schema
+  // or kind tags) with base-2 buckets; the nfvm-report --check ctest gates
+  // compare it against metrics_regressed.json.
+  const std::string path =
+      std::string(NFVM_SOURCE_DIR) + "/tests/data/metrics_base.json";
+  EXPECT_EQ(report::validate_file(path), "");
+  const report::Artifact a = report::load_artifact(path);
+  EXPECT_EQ(a.kind, report::ArtifactKind::kMetrics);
+  EXPECT_EQ(a.scalars.at("counters.online.admitted"), 260.0);
+  EXPECT_EQ(a.scalars.at("histograms.online.route_ms.count"), 300.0);
+  EXPECT_EQ(a.scalars.at("histograms.online.route_ms.p50"), 2.6);
+  EXPECT_EQ(a.scalars.at("histograms.online.route_ms.p99"), 18.5);
 }
 
 TEST(ReportLoad, DerivesPercentilesFromBucketsWhenAbsent) {

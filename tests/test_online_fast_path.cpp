@@ -1,8 +1,8 @@
-// The online admission fast path: trace equivalence between the incremental
-// (patched weighted view + shared-closure scan) and legacy rebuild paths,
-// Online_CP's bound-pruned server scan and lazy server rows,
-// OnlineWeightedView patch/era semantics, keyed SpCache invalidation, the
-// lazy table-driven KMB entry point, and RejectTracker precedence.
+// The online admission fast path: the closure-MST bound behind Online_CP's
+// pruned server scan and its lazy server rows, OnlineWeightedView patch/era
+// semantics, keyed SpCache invalidation, the lazy table-driven KMB entry
+// point, and RejectTracker precedence. Trace equivalence against the
+// per-request rebuild lives in test_oracle_equivalence.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,175 +15,20 @@
 
 #include "core/cost_model.h"
 #include "core/online.h"
-#include "core/online_cp.h"
-#include "core/online_sp.h"
 #include "core/online_view.h"
 #include "graph/dijkstra.h"
 #include "graph/sp_engine.h"
 #include "graph/steiner.h"
 #include "nfv/resources.h"
 #include "obs/metrics.h"
-#include "sim/request_gen.h"
 #include "topology/waxman.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace nfvm::core {
 namespace {
 
 std::uint64_t counter_value(const std::string& name) {
   return obs::Registry::global().counter(name)->value();
-}
-
-/// Restores the global pool to single-threaded when a test exits.
-struct GlobalThreadsGuard {
-  ~GlobalThreadsGuard() { util::ThreadPool::set_global_threads(1); }
-};
-
-// ---------------------------------------------------------------------------
-// Trace equivalence: fast path vs rebuild path
-// ---------------------------------------------------------------------------
-
-void expect_same_decision(const AdmissionDecision& a, const AdmissionDecision& b,
-                          std::size_t index) {
-  ASSERT_EQ(a.admitted, b.admitted) << "request " << index;
-  EXPECT_EQ(a.reject_reason, b.reject_reason) << "request " << index;
-  EXPECT_EQ(a.reject_cause, b.reject_cause) << "request " << index;
-  EXPECT_EQ(a.tree.source, b.tree.source) << "request " << index;
-  EXPECT_EQ(a.tree.servers, b.tree.servers) << "request " << index;
-  EXPECT_EQ(a.tree.cost, b.tree.cost) << "request " << index;  // bit-exact
-  EXPECT_EQ(a.tree.edge_uses, b.tree.edge_uses) << "request " << index;
-  ASSERT_EQ(a.tree.routes.size(), b.tree.routes.size()) << "request " << index;
-  for (std::size_t r = 0; r < a.tree.routes.size(); ++r) {
-    EXPECT_EQ(a.tree.routes[r].destination, b.tree.routes[r].destination);
-    EXPECT_EQ(a.tree.routes[r].server, b.tree.routes[r].server);
-    EXPECT_EQ(a.tree.routes[r].walk, b.tree.routes[r].walk);
-    EXPECT_EQ(a.tree.routes[r].server_index, b.tree.routes[r].server_index);
-  }
-  EXPECT_EQ(a.footprint.bandwidth, b.footprint.bandwidth) << "request " << index;
-  EXPECT_EQ(a.footprint.compute, b.footprint.compute) << "request " << index;
-  EXPECT_EQ(a.footprint.table_entries, b.footprint.table_entries)
-      << "request " << index;
-}
-
-/// Feeds the same request sequence (with periodic departures) through both
-/// algorithms and requires byte-identical decision streams.
-template <typename Algo>
-void run_trace_equivalence(Algo& fast, Algo& rebuild, std::size_t num_requests) {
-  util::Rng workload(515);
-  sim::RequestGenerator gen(fast.topology(), workload);
-  const std::vector<nfv::Request> requests = gen.sequence(num_requests);
-
-  std::vector<nfv::Footprint> admitted_fast;
-  std::vector<nfv::Footprint> admitted_rebuild;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const AdmissionDecision df = fast.process(requests[i]);
-    const AdmissionDecision dr = rebuild.process(requests[i]);
-    expect_same_decision(df, dr, i);
-    if (df.admitted) {
-      admitted_fast.push_back(df.footprint);
-      admitted_rebuild.push_back(dr.footprint);
-    }
-    // Departures: release the oldest still-held footprint every 7 requests,
-    // exercising the era reset (cache drop + weight re-patch) mid-sequence.
-    if (i % 7 == 6 && !admitted_fast.empty()) {
-      fast.release(admitted_fast.front());
-      rebuild.release(admitted_rebuild.front());
-      admitted_fast.erase(admitted_fast.begin());
-      admitted_rebuild.erase(admitted_rebuild.begin());
-    }
-  }
-  EXPECT_EQ(fast.num_admitted(), rebuild.num_admitted());
-  EXPECT_EQ(fast.num_rejected(), rebuild.num_rejected());
-}
-
-TEST(OnlineFastPath, CpTraceEquivalenceWithDepartures) {
-  util::Rng rng(91);
-  const topo::Topology topo = topo::make_waxman(60, rng);
-  OnlineCpOptions fast_opts;
-  ASSERT_TRUE(fast_opts.incremental_view);  // fast path is the default
-  OnlineCpOptions rebuild_opts;
-  rebuild_opts.incremental_view = false;
-  OnlineCp fast(topo, fast_opts);
-  OnlineCp rebuild(topo, rebuild_opts);
-  run_trace_equivalence(fast, rebuild, 80);
-}
-
-TEST(OnlineFastPath, CpTraceEquivalenceLinearWeights) {
-  util::Rng rng(92);
-  const topo::Topology topo = topo::make_waxman(40, rng);
-  OnlineCpOptions fast_opts;
-  fast_opts.linear_weights = true;
-  OnlineCpOptions rebuild_opts;
-  rebuild_opts.linear_weights = true;
-  rebuild_opts.incremental_view = false;
-  OnlineCp fast(topo, fast_opts);
-  OnlineCp rebuild(topo, rebuild_opts);
-  run_trace_equivalence(fast, rebuild, 60);
-}
-
-TEST(OnlineFastPath, SpTraceEquivalenceWithDepartures) {
-  util::Rng rng(93);
-  const topo::Topology topo = topo::make_waxman(60, rng);
-  OnlineSpOptions rebuild_opts;
-  rebuild_opts.incremental_view = false;
-  OnlineSp fast(topo);  // default options: fast path on
-  OnlineSp rebuild(topo, rebuild_opts);
-  run_trace_equivalence(fast, rebuild, 80);
-}
-
-TEST(OnlineFastPath, CpBoundPrunedScanMatchesRebuildWhenSaturated) {
-  // Long enough on a small Waxman graph that links saturate and sigma_e
-  // binds, so many candidates are settled by the closure-MST bound without
-  // a server tree or a KMB run. The decision stream must still match the
-  // exhaustive rebuild scan at every thread count.
-  GlobalThreadsGuard guard;
-  util::Rng rng(95);
-  topo::WaxmanOptions wo;
-  wo.target_mean_degree = 4.0;  // sparse, as nfvm-sim builds it
-  const topo::Topology topo = topo::make_waxman(100, rng, wo);
-  OnlineCpOptions rebuild_opts;
-  rebuild_opts.incremental_view = false;
-  for (const std::size_t threads : {1, 4}) {
-    util::ThreadPool::set_global_threads(threads);
-    const std::uint64_t pruned_before = counter_value("core.online_cp.bound_pruned");
-    const std::uint64_t fetched_before =
-        counter_value("core.online_cp.server_rows_fetched");
-    const std::uint64_t skipped_before =
-        counter_value("core.online_cp.server_rows_skipped");
-    OnlineCp fast(topo);
-    OnlineCp rebuild(topo, rebuild_opts);
-    run_trace_equivalence(fast, rebuild, 300);
-    EXPECT_GT(fast.num_rejected(), 0u) << "threads " << threads;
-#if NFVM_OBS
-    // Not vacuous: the pruned branch actually ran, and KMB both fetched
-    // lazy server rows and skipped rows it could not use.
-    EXPECT_GT(counter_value("core.online_cp.bound_pruned"), pruned_before)
-        << "threads " << threads;
-    EXPECT_GT(counter_value("core.online_cp.server_rows_fetched"), fetched_before)
-        << "threads " << threads;
-    EXPECT_GT(counter_value("core.online_cp.server_rows_skipped"), skipped_before)
-        << "threads " << threads;
-#else
-    (void)pruned_before;
-    (void)fetched_before;
-    (void)skipped_before;
-#endif
-  }
-}
-
-TEST(OnlineFastPath, NonKmbEngineFallsBackToRebuildPath) {
-  // A non-KMB Steiner engine must keep working (and agree with an explicit
-  // rebuild configuration) even though it cannot use the shared closure.
-  util::Rng rng(94);
-  const topo::Topology topo = topo::make_waxman(30, rng);
-  OnlineCpOptions a_opts;
-  a_opts.steiner_engine = graph::SteinerEngine::kTakahashiMatsuyama;
-  OnlineCpOptions b_opts = a_opts;
-  b_opts.incremental_view = false;
-  OnlineCp a(topo, a_opts);
-  OnlineCp b(topo, b_opts);
-  run_trace_equivalence(a, b, 40);
 }
 
 // ---------------------------------------------------------------------------

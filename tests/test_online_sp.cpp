@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "nfv/resources.h"
 #include "sim/request_gen.h"
 #include "sim/simulator.h"
 #include "topology/waxman.h"
@@ -176,6 +179,38 @@ TEST(OnlineSp, StateAccumulatesAcrossRequests) {
   r.id = 2;
   algo.process(r);
   EXPECT_GT(algo.resources().total_allocated_bandwidth(), after_one);
+}
+
+TEST(OnlineSp, RestoreResourcesDropsStaleTrees) {
+  // Restoring larger residuals than the current ones makes links eligible
+  // again, so shortest-path trees cached while they were saturated are
+  // stale. After the restore, a loaded instance must decide exactly like a
+  // fresh one restored to the same residuals.
+  util::Rng rng(77);
+  topo::WaxmanOptions wo;
+  wo.target_mean_degree = 4.0;
+  const topo::Topology t = topo::make_waxman(100, rng, wo);
+  util::Rng workload(78);
+  sim::RequestGenerator gen(t, workload);
+  const std::vector<nfv::Request> warmup = gen.sequence(400);
+  const std::vector<nfv::Request> after = gen.sequence(200);
+
+  OnlineSp loaded(t);
+  for (const nfv::Request& r : warmup) loaded.process(r);
+  ASSERT_GT(loaded.num_rejected(), 0u);  // the warm-up saturated links
+  const nfv::ResourceResiduals full = nfv::ResourceState(t).export_residuals();
+  loaded.restore_resources(full);
+  OnlineSp fresh(t);
+  fresh.restore_resources(full);
+
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    const AdmissionDecision a = loaded.process(after[i]);
+    const AdmissionDecision b = fresh.process(after[i]);
+    ASSERT_EQ(a.admitted, b.admitted) << "request " << i;
+    EXPECT_EQ(a.reject_reason, b.reject_reason) << "request " << i;
+    EXPECT_EQ(a.tree.cost, b.tree.cost) << "request " << i;
+    EXPECT_EQ(a.tree.edge_uses, b.tree.edge_uses) << "request " << i;
+  }
 }
 
 }  // namespace

@@ -124,12 +124,6 @@ struct Options {
   double dest_ratio = 0.0;  // 0 = paper default range
   double max_delay_ms = 0.0;  // 0 = unconstrained
   bool dynamic = false;
-  /// Online: run Online_CP / Online_SP with incremental_view off
-  /// (per-request rebuild). Offline: run Appro_Multi with the legacy
-  /// materialize-everything combination sweep instead of branch-and-bound.
-  /// Decisions must be byte-identical to the default fast path — CI diffs
-  /// the two decision streams in both modes.
-  bool legacy_path = false;
   /// Offline: Appro_Multi beam width (0 = exact full server pool).
   std::size_t beam_width = 0;
   double arrival_rate = 1.0;
@@ -156,7 +150,7 @@ struct Options {
   if (!error.empty()) std::cerr << "error: " << error << "\n";
   std::cerr << "usage: nfvm_sim [--mode " << kModes << "] [--topology T] [--nodes N] [--seed S]\n"
                "                [--algorithm A] [--requests R] [--dest-ratio X]\n"
-               "                [--max-delay MS] [--dynamic] [--legacy-path]\n"
+               "                [--max-delay MS] [--dynamic]\n"
                "                [--arrival-rate X] [--mean-duration X]\n"
                "                [--soak N] [--diurnal-amplitude A] [--diurnal-period P]\n"
                "                [--threads N] [--beam-width M]\n"
@@ -296,7 +290,6 @@ Options parse_args(int argc, char** argv) {
     else if (arg == "--dest-ratio") opts.dest_ratio = std::stod(need_value(i));
     else if (arg == "--max-delay") opts.max_delay_ms = std::stod(need_value(i));
     else if (arg == "--dynamic") opts.dynamic = true;
-    else if (arg == "--legacy-path") opts.legacy_path = true;
     else if (arg == "--arrival-rate") opts.arrival_rate = std::stod(need_value(i));
     else if (arg == "--mean-duration") opts.mean_duration = std::stod(need_value(i));
     else if (arg == "--soak") opts.soak = std::stoul(need_value(i));
@@ -342,18 +335,9 @@ topo::Topology build_topology(const Options& opts, util::Rng& rng) {
 }
 
 std::unique_ptr<core::OnlineAlgorithm> build_algorithm(const std::string& name,
-                                                       const topo::Topology& topo,
-                                                       bool legacy_path) {
-  if (name == "online_cp") {
-    core::OnlineCpOptions cp_opts;
-    cp_opts.incremental_view = !legacy_path;
-    return std::make_unique<core::OnlineCp>(topo, cp_opts);
-  }
-  if (name == "online_sp") {
-    core::OnlineSpOptions sp_opts;
-    sp_opts.incremental_view = !legacy_path;
-    return std::make_unique<core::OnlineSp>(topo, sp_opts);
-  }
+                                                       const topo::Topology& topo) {
+  if (name == "online_cp") return std::make_unique<core::OnlineCp>(topo);
+  if (name == "online_sp") return std::make_unique<core::OnlineSp>(topo);
   return std::make_unique<core::OnlineSpStatic>(topo);  // validated at parse time
 }
 
@@ -385,7 +369,6 @@ std::map<std::string, std::string> manifest_config(const Options& opts) {
   config["dest_ratio"] = util::format_double(opts.dest_ratio, 4);
   config["max_delay_ms"] = util::format_double(opts.max_delay_ms, 3);
   config["dynamic"] = opts.dynamic ? "true" : "false";
-  config["legacy_path"] = opts.legacy_path ? "true" : "false";
   if (opts.mode == "offline") {
     config["beam_width"] = std::to_string(opts.beam_width);
   }
@@ -581,9 +564,6 @@ int main(int argc, char** argv) {
       // Requests fan out across the thread pool; aggregation below walks the
       // indexed results in request order, so stats match a serial run.
       sim::OfflineBatchOptions batch_opts;
-      batch_opts.search = opts.legacy_path
-                              ? core::ApproMultiOptions::Search::kLegacySweep
-                              : core::ApproMultiOptions::Search::kBranchAndBound;
       batch_opts.beam_width = opts.beam_width;
       const auto results =
           sim::run_offline_batch(topo, costs, batch_requests, batch_opts);
@@ -624,7 +604,7 @@ int main(int argc, char** argv) {
   if (opts.soak > 0) {
     util::Rng workload(opts.seed + 1);
     sim::RequestGenerator gen(topo, workload, gen_opts);
-    auto algo = build_algorithm(opts.algorithm, topo, opts.legacy_path);
+    auto algo = build_algorithm(opts.algorithm, topo);
     sim::SoakOptions soak;
     soak.num_requests = opts.soak;
     soak.arrival_rate = opts.arrival_rate;
@@ -686,7 +666,7 @@ int main(int argc, char** argv) {
     // Fresh, identical workload per algorithm.
     util::Rng workload(opts.seed + 1);
     sim::RequestGenerator gen(topo, workload, gen_opts);
-    auto algo = build_algorithm(name, topo, opts.legacy_path);
+    auto algo = build_algorithm(name, topo);
     obs::log_info("admission run: " + std::string(algo->name()) + ", " +
                   std::to_string(opts.requests) + " requests");
     const auto reject_cells = [&table](const auto& m) {
