@@ -6,15 +6,20 @@
 //     OnlineWeightedView patched after each admission plus the
 //     shared-closure server scan),
 //   * Online_CP and Online_SP, on GEANT and Waxman sweeps up to 400 nodes,
-//   * periodic departures so the era reset (release -> cache drop) is paid
-//     inside the measured loop, not just steady-state cache hits.
+//   * periodic departures so the view's tree repairs after releases are
+//     paid inside the measured loop, not just steady-state cache hits,
+//   * and one dynamic case (cp_waxman_400_dynamic): Poisson arrivals with
+//     exponential holding times, every departure released before the next
+//     arrival, as in the cp-churn benchmark workload.
 //
 // Every row carries an admission checksum - sum over requests of
 // (i+1) * (admitted ? 1 + cost : -1) - and Online_CP's bound_pruned and
-// server_rows counts, all bit-deterministic, so the CI artifact gate
-// (nfvm-report --check) verifies that both paths keep taking identical
-// decisions, that the bound keeps pruning, and that KMB keeps fetching only
-// the server rows it needs, on every run; timing / throughput columns (*_ms,
+// server_rows counts plus the view's repaired trees (graph.spcache.repairs),
+// all bit-deterministic, so the CI artifact gate (nfvm-report --check)
+// verifies that both paths keep taking identical decisions, that the bound
+// keeps pruning, that KMB keeps fetching only the server rows it needs and
+// that cached trees keep being repaired, on every run; timing / throughput
+// columns (*_ms,
 // *_time) are machine-dependent and only the speedup_vs_legacy ratio gates,
 // via an absolute floor (nfvm-report --min speedup_vs_legacy=0.95) rather
 // than a baseline-relative delta. Each mode runs twice with fresh algorithm
@@ -30,6 +35,7 @@
 #include "core/online_cp.h"
 #include "core/online_sp.h"
 #include "oracle.h"
+#include "sim/simulator.h"
 #include "topology/geant.h"
 
 namespace {
@@ -47,6 +53,10 @@ struct RunResult {
   // Lazy server rows Online_CP's KMB runs fetched (RequestRecord::
   // server_rows); deterministic, zero where bound_pruned is.
   std::uint64_t server_rows = 0;
+  // Cached shortest-path trees the view served after a repair
+  // (graph.spcache.repairs); deterministic at any thread count, zero on
+  // rebuild rows and under NFVM_OBS=0.
+  std::uint64_t repaired = 0;
   // Summed per-phase wall-clock from the RequestRecord provenance, in ms
   // (all zero under NFVM_OBS=0). Timing columns never gate in CI.
   double classify_ms = 0.0;
@@ -56,42 +66,77 @@ struct RunResult {
   double patch_ms = 0.0;
 };
 
+std::uint64_t repairs_counter() {
+#if NFVM_OBS
+  return obs::Registry::global().counter("graph.spcache.repairs")->value();
+#else
+  return 0;
+#endif
+}
+
+/// Folds one decision into the row: admission checksum and provenance.
+void account(RunResult& result, std::size_t i, const core::AdmissionDecision& decision) {
+  if (decision.admitted) {
+    ++result.admitted;
+    result.checksum += static_cast<double>(i + 1) * (1.0 + decision.tree.cost);
+  } else {
+    result.checksum -= static_cast<double>(i + 1);
+  }
+  if (const core::RequestRecord* rec = decision.record.get()) {
+    result.bound_pruned += rec->bound_pruned;
+    result.server_rows += rec->server_rows;
+    result.classify_ms += rec->classify_us / 1000.0;
+    result.closure_ms += rec->closure_us / 1000.0;
+    result.eval_ms += rec->eval_us / 1000.0;
+    result.realize_ms += rec->realize_us / 1000.0;
+    result.patch_ms += rec->view_patch_us / 1000.0;
+  }
+}
+
 /// Feeds the sequence through one algorithm instance, releasing the oldest
 /// still-held footprint every 7th request (the departure pattern of the
-/// trace-equivalence tests). Provenance recording stays on so the row can
+/// trace-equivalence tests), or, for a dynamic case (`timed` non-empty,
+/// parallel to `requests`), every footprint whose departure time has come
+/// before each arrival. Provenance recording stays on so the row can
 /// attribute the wall clock to admission phases; both modes pay the same
 /// (small) recording overhead and decisions are unaffected.
 template <typename Algo>
-RunResult run_sequence(Algo& algo, const std::vector<nfv::Request>& requests) {
+RunResult run_sequence(Algo& algo, const std::vector<nfv::Request>& requests,
+                       const std::vector<sim::TimedRequest>& timed) {
   RunResult result;
   algo.set_record_provenance(true);
   std::vector<nfv::Footprint> held;
+  using Departure = std::pair<double, nfv::Footprint>;
+  const auto later = [](const Departure& a, const Departure& b) { return a.first > b.first; };
+  std::vector<Departure> departures;  // min-heap on departure time
+  const std::uint64_t repairs_before = repairs_counter();
   util::Stopwatch watch;
   for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (!timed.empty()) {
+      while (!departures.empty() && departures.front().first <= timed[i].arrival_time) {
+        std::pop_heap(departures.begin(), departures.end(), later);
+        algo.release(departures.back().second);
+        departures.pop_back();
+      }
+    }
     const core::AdmissionDecision decision = algo.process(requests[i]);
-    if (decision.admitted) {
-      ++result.admitted;
-      result.checksum +=
-          static_cast<double>(i + 1) * (1.0 + decision.tree.cost);
-      held.push_back(decision.footprint);
-    } else {
-      result.checksum -= static_cast<double>(i + 1);
+    account(result, i, decision);
+    if (!timed.empty()) {
+      if (decision.admitted) {
+        departures.emplace_back(timed[i].arrival_time + timed[i].duration,
+                                decision.footprint);
+        std::push_heap(departures.begin(), departures.end(), later);
+      }
+      continue;
     }
-    if (const core::RequestRecord* rec = decision.record.get()) {
-      result.bound_pruned += rec->bound_pruned;
-      result.server_rows += rec->server_rows;
-      result.classify_ms += rec->classify_us / 1000.0;
-      result.closure_ms += rec->closure_us / 1000.0;
-      result.eval_ms += rec->eval_us / 1000.0;
-      result.realize_ms += rec->realize_us / 1000.0;
-      result.patch_ms += rec->view_patch_us / 1000.0;
-    }
+    if (decision.admitted) held.push_back(decision.footprint);
     if (i % 7 == 6 && !held.empty()) {
       algo.release(held.front());
       held.erase(held.begin());
     }
   }
   result.time_ms = watch.elapsed_ms();
+  result.repaired = repairs_counter() - repairs_before;
   return result;
 }
 
@@ -103,22 +148,24 @@ int main() {
   std::cout << "# micro: online admission fast path - incremental view + "
                "shared-closure scan vs per-request rebuild ("
             << num_requests << " requests, departures every 7th)\n";
-  std::cout << "# checksum / admitted / bound_pruned / server_rows columns "
-               "are deterministic and gate in "
+  std::cout << "# checksum / admitted / bound_pruned / server_rows / repaired "
+               "columns are deterministic and gate in "
                "CI; *_ms / *_time columns do not; speedup_vs_legacy gates "
                "via an absolute floor (--min)\n";
 
   util::Table table({"case", "mode", "n", "m", "requests", "admitted",
                      "time_ms", "req_per_s_time", "checksum",
                      "speedup_vs_legacy", "bound_pruned", "server_rows",
-                     "classify_ms", "closure_ms", "eval_ms", "realize_ms",
+                     "repaired", "classify_ms", "closure_ms", "eval_ms", "realize_ms",
                      "patch_ms"});
 
   bool checksums_agree = true;
   std::map<std::string, double> speedups;
 
+  // `timed` is empty, or the dynamic case's arrivals parallel to `requests`.
   const auto run_case = [&](const std::string& name, const topo::Topology& topo,
                             const std::vector<nfv::Request>& requests,
+                            const std::vector<sim::TimedRequest>& timed,
                             auto make_rebuild, auto make_incremental) {
     // Two repeats per mode with fresh instances; the min time feeds the
     // speedup floor so a one-off scheduler hiccup cannot sink the ratio.
@@ -127,7 +174,7 @@ int main() {
       RunResult best;
       for (int rep = 0; rep < 2; ++rep) {
         auto algo = make_algo(topo);
-        const RunResult r = run_sequence(algo, requests);
+        const RunResult r = run_sequence(algo, requests, timed);
         if (rep == 0) {
           best = r;
           continue;
@@ -179,6 +226,7 @@ int main() {
       }
       table.add(r.bound_pruned)
           .add(r.server_rows)
+          .add(r.repaired)
           .add(r.classify_ms, 3)
           .add(r.closure_ms, 3)
           .add(r.eval_ms, 3)
@@ -209,25 +257,46 @@ int main() {
     util::Rng workload(4242);
     sim::RequestGenerator gen(topo, workload);
     const std::vector<nfv::Request> requests = gen.sequence(num_requests);
-    run_case("cp_geant", topo, requests, make_cp_rebuild, make_cp_fast);
-    run_case("sp_geant", topo, requests, make_sp_rebuild, make_sp_fast);
+    run_case("cp_geant", topo, requests, {}, make_cp_rebuild, make_cp_fast);
+    run_case("sp_geant", topo, requests, {}, make_sp_rebuild, make_sp_fast);
   }
 
   // --- Waxman size sweep -------------------------------------------------
-  const std::vector<std::size_t> sizes = {100, 200, 400};
-  for (std::size_t n : sizes) {
+  const auto sweep_topology = [](std::size_t n) {
     util::Rng rng(1000 + n);
     topo::WaxmanOptions wo;
     wo.target_mean_degree = 4.0;
     wo.capacities.max_bandwidth_mbps = 2500.0;  // contention
-    const topo::Topology topo = topo::make_waxman(n, rng, wo);
+    return topo::make_waxman(n, rng, wo);
+  };
+  const std::vector<std::size_t> sizes = {100, 200, 400};
+  for (std::size_t n : sizes) {
+    const topo::Topology topo = sweep_topology(n);
     util::Rng workload(4242);
     sim::RequestGenerator gen(topo, workload);
     const std::vector<nfv::Request> requests = gen.sequence(num_requests);
-    run_case("cp_waxman_" + std::to_string(n), topo, requests, make_cp_rebuild,
+    run_case("cp_waxman_" + std::to_string(n), topo, requests, {}, make_cp_rebuild,
              make_cp_fast);
-    run_case("sp_waxman_" + std::to_string(n), topo, requests, make_sp_rebuild,
+    run_case("sp_waxman_" + std::to_string(n), topo, requests, {}, make_sp_rebuild,
              make_sp_fast);
+  }
+
+  // --- Arrive + depart on Waxman-400 -------------------------------------
+  // Poisson arrivals at rate 1 holding a quarter of the run on average, so
+  // the network fills and drains inside the measured loop.
+  {
+    const topo::Topology topo = sweep_topology(400);
+    util::Rng workload(4242);
+    sim::RequestGenerator gen(topo, workload);
+    sim::DynamicWorkloadOptions dyn;
+    dyn.mean_duration = static_cast<double>(num_requests) / 4.0;
+    const std::vector<sim::TimedRequest> timed =
+        sim::make_poisson_workload(gen, workload, num_requests, dyn);
+    std::vector<nfv::Request> requests;
+    requests.reserve(timed.size());
+    for (const sim::TimedRequest& t : timed) requests.push_back(t.request);
+    run_case("cp_waxman_400_dynamic", topo, requests, timed, make_cp_rebuild,
+             make_cp_fast);
   }
 
   bench::finish("micro_online_admit", table);

@@ -54,7 +54,7 @@ void OnlineCp::after_release(const nfv::Footprint& footprint) {
 void OnlineCp::after_restore() {
   // Every weight is a pure function of its residual, so a full rebuild from
   // the restored residuals reproduces the uninterrupted run's view exactly;
-  // the dropped tree cache and era counter never influence decisions.
+  // the dropped tree cache and change log never influence decisions.
   view_.rebuild();
 }
 
@@ -75,6 +75,7 @@ struct CpCandidateSlot {
   double steiner_weight = 0.0;  // st.weight share of cost, for provenance
   std::vector<graph::EdgeId> edges;  // physical ids
   bool server_row_fetched = false;  // KMB fetched this server's lazy row
+  OnlineWeightedView::ServedTree server_row;  // that row, to commit
 };
 
 }  // namespace
@@ -192,15 +193,16 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
       [&tables](graph::VertexId v) -> const graph::ShortestPaths* {
     return tables.has(v) ? &tables.from(v) : nullptr;
   };
-  const std::span<const std::uint8_t> mask = view_.eligibility_mask();
 
   // Phase C: evaluate every surviving candidate's Steiner tree and cost in
-  // parallel. Each evaluation is pure (reads the view, tables and mask,
-  // writes its slot); the cost prune of the sequential scan is deliberately
-  // NOT applied here — it only suppresses work, never changes the admitted
+  // parallel. Each evaluation is pure (reads the view and tables, writes
+  // its slot); the cost prune of the sequential scan is deliberately NOT
+  // applied here — it only suppresses work, never changes the admitted
   // candidate, and the replay loop below re-applies it for reason parity.
-  // A server outside T0 has no table: KMB fetches its row lazily, as an
-  // early-exit masked Dijkstra on this thread's engine, and never caches it.
+  // A server outside T0 has no table: KMB fetches its row lazily, read-only
+  // from the view on this thread's engine — the server's cached tree as is
+  // or repaired, a fresh one, or an early-exit row (always in rebuild
+  // mode) — and the full trees are committed below in server order.
   {
     NFVM_SPAN("online_cp/server_scan");
     NFVM_OBS_ONLY(phase_watch.reset();)
@@ -220,8 +222,8 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
       const graph::KmbRowFn row_to =
           [&](graph::VertexId x, std::span<const graph::VertexId> targets) {
             slot.server_row_fetched = true;
-            return graph::SpEngine::thread_local_engine().shortest_paths_to(
-                view_.graph(), x, targets, mask);
+            slot.server_row = view_.tree_from(x, targets);
+            return slot.server_row.tree;
           };
       graph::SteinerResult st =
           graph::kmb_steiner_lazy(view_.graph(), terminals, table_for, row_to);
@@ -245,6 +247,11 @@ AdmissionDecision OnlineCp::try_admit(const nfv::Request& request) {
       slot.steiner_weight = st.weight;
       slot.edges = std::move(st.edges);
     });
+    // Cache the server trees in server order, so cache state does not
+    // depend on the thread count.
+    for (std::size_t i : survivors) {
+      if (slots[i].server_row_fetched) view_.commit(eval[i], std::move(slots[i].server_row));
+    }
     NFVM_OBS_ONLY({
       std::uint64_t tableless = 0;
       std::uint64_t fetched = 0;

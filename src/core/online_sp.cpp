@@ -13,7 +13,8 @@ namespace nfvm::core {
 
 // The scan's Dijkstras run on the physical link weights (the per-request
 // pruning only removes edges, it never reweights), so the view's weight
-// function is residual-independent: admissions keep every cached tree.
+// function is residual-independent: only eligibility changes reach the
+// cached trees.
 OnlineSp::OnlineSp(const topo::Topology& topo)
     : OnlineAlgorithm(topo),
       view_(topo, [this](graph::EdgeId e) { return topo_->graph.weight(e); }) {}
@@ -27,8 +28,8 @@ void OnlineSp::after_release(const nfv::Footprint& footprint) {
 }
 
 void OnlineSp::after_restore() {
-  // Restored residuals may be larger than the current ones, which breaks
-  // the era invariant the cached trees rely on: start a new era.
+  // Residuals changed wholesale: reset the view (and drop its tree cache)
+  // as at construction.
   view_.rebuild();
 }
 

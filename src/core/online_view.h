@@ -12,39 +12,36 @@
 // nfv::edge_eligible(state, g, e, b_k). That is what makes a shortest-path
 // tree computed for one request reusable by later ones.
 //
-// Cached-tree reuse invariant (the correctness core — see
-// docs/performance.md, "The online fast path"): within an *era* (no release
-// since the last rebuild), residuals only shrink, so weights only grow and
-// the eligible edge set at threshold b' is a subset of the set at b_T <= b'.
-// A cached tree from `source` is therefore bit-identical to a freshly
-// computed filtered Dijkstra iff
-//   (1) it was computed this era,
-//   (2) b' >= b_T (the threshold recorded when it was computed), and
-//   (3) every tree edge is still eligible at b' and weight-unchanged.
-// Condition (3)'s weight half is enforced eagerly: apply_allocate evicts
-// exactly the cached trees containing a patched edge (SpCache::rebind_keep),
-// so surviving entries are weight-clean by induction and the per-lookup
-// validation only walks eligibility. Releases break the era's monotonicity
-// (residuals grow back, shorter paths may appear), so apply_release drops
-// the whole cache.
+// Cached-tree repair invariant (the correctness core — see
+// docs/performance.md, "The online fast path"): every cached tree records
+// the version it is exact at and the eligibility bitset it was built under.
+// Every patch appends the edges whose weight moved to a change log (one
+// version per entry), so a lookup reads the log since the tree's version,
+// diffs the bitset against the current mask and hands exactly the edges
+// that changed to graph::SpEngine::repair_shortest_paths, which returns the
+// tree a fresh filtered Dijkstra would build: unchanged, repaired where the
+// changes reach, or recomputed when its settle-order guard or size limit
+// fails. Allocations and releases are handled alike (a release lowers
+// weights, which the repair's relaxation pass covers); no patch drops the
+// cache, only a lookup that finds its tree too stale to repair.
 //
 // Adaptive policy: the cache only pays for itself when the Dijkstra work it
-// saves exceeds the bookkeeping it adds — rebind_keep scans every cached
-// tree's parent_edge array per admission and tree_valid walks it again per
-// lookup, both O(|V|) per tree, while the saved Dijkstra is O(|E| log |V|).
-// On small graphs (GEANT: 61 links) the bookkeeping loses; on large Waxman
-// configs it wins ~10x. trees_for therefore measures graph size against
-// patch churn (EWMA of edges patched per admission) and below the threshold
-// runs in REBUILD mode: weights are still patched in place, but every tree
-// is computed fresh via one batched masked SSSP and the cache is bypassed
-// and kept empty. Both modes produce bit-identical trees (a valid cached
-// tree equals a fresh filtered Dijkstra by the era invariant), so the
-// policy can never change a decision — only what it costs. Counted by
+// saves exceeds the bookkeeping it adds (the per-lookup diff and repair are
+// O(|E| + |V|) plus the repaired region). On small graphs (GEANT: 61 links)
+// the bookkeeping loses; on large Waxman configs it wins. trees_for
+// therefore measures graph size against patch churn (EWMA of edges patched
+// per admission) and below the threshold runs in REBUILD mode: weights are
+// still patched in place, but every tree is computed fresh via one batched
+// masked SSSP and the cache is bypassed and kept empty. Both modes produce
+// bit-identical trees (a served cached tree equals a fresh filtered
+// Dijkstra by the repair invariant), so the policy can never change a
+// decision — only what it costs. Counted by
 // core.online.view_policy_{incremental,rebuild}.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -81,21 +78,19 @@ class OnlineWeightedView {
   void rebuild();
 
   /// Patches the weights of the footprint's edges after an admission and
-  /// evicts exactly the cached trees containing a changed edge
-  /// (`core.online.view_patches`).
+  /// logs the changed ones (`core.online.view_patches`).
   void apply_allocate(const nfv::Footprint& footprint);
 
-  /// Patches the footprint's edge weights after a release and drops the
-  /// whole tree cache: a release starts a new era (counted by
-  /// `core.online.view_rebuilds`).
+  /// Patches the footprint's edge weights after a release and logs the
+  /// changed ones (`core.online.view_patches`); cached trees are repaired
+  /// on their next lookup like after an admission.
   void apply_release(const nfv::Footprint& footprint);
 
   /// Shortest-path trees from each of `sources` on the view, restricted to
   /// edges eligible at bandwidth threshold `b` (nfv::edge_eligible against
-  /// `state`). Cached trees are reused only when the era invariant above
-  /// guarantees bit-identity with a fresh filtered Dijkstra; the misses are
-  /// computed in parallel on util::ThreadPool::global() and inserted in
-  /// `sources` order, so results and cache state are thread-count
+  /// `state`). In incremental mode every distinct source goes through
+  /// tree_from in parallel on util::ThreadPool::global() and is committed
+  /// in `sources` order, so results and cache state are thread-count
   /// independent. Each distinct source is looked up or computed once per
   /// call; repeated slots share that one tree.
   std::vector<std::shared_ptr<const graph::ShortestPaths>> trees_for(
@@ -109,19 +104,58 @@ class OnlineWeightedView {
   /// the next trees_for call.
   std::span<const std::uint8_t> eligibility_mask() const noexcept { return mask_; }
 
+  /// A tree tree_from served: whether it can be repaired later
+  /// (graph::SpEngine::dist_id_ordered held for it), and whether commit()
+  /// caches it — false for a row (exact only at the row targets and their
+  /// paths) and for what replaces a cached tree that could not be repaired.
+  struct ServedTree {
+    std::shared_ptr<const graph::ShortestPaths> tree;
+    bool ordered = false;
+    bool cache = true;
+  };
+
+  /// The tree from `source` at the current weights under the eligibility
+  /// mask of the last trees_for call: the cached tree as it is when no
+  /// relevant edge changed since it was cached, else that tree repaired,
+  /// else a fresh masked Dijkstra (`graph.spcache.{hits,misses,repairs,
+  /// repair_fallbacks}`). A repair is not tried when more than
+  /// kRepairMaxAffecting · |V| changed edges affect the tree
+  /// (graph::SpEngine::affecting_edges), nor diffed at all with more than
+  /// four times that many weight changes logged since it was cached. A
+  /// cached tree that is not repaired (too stale, or the repair gave up) is
+  /// dropped at commit and its replacement is not cached: its source is
+  /// looked up too rarely for the changes in between, and the slot serves a
+  /// busier source better. A tree computed on a miss is cached. With
+  /// `row_targets` the caller needs only a KMB row to those vertices
+  /// (graph::KmbRowFn): where a full tree would have to be computed from
+  /// scratch and cannot pay for itself — in rebuild mode, for a stale entry
+  /// beyond that limit, or on a miss while some weight is zero — the
+  /// early-exit run SpEngine::shortest_paths_to is served instead,
+  /// uncounted in rebuild mode. Runs on the calling thread's engine and
+  /// does not touch the cache, so concurrent calls are safe; commit() the
+  /// result afterwards, sequentially and in a fixed order, to keep it.
+  ServedTree tree_from(graph::VertexId source,
+                       std::span<const graph::VertexId> row_targets = {}) const;
+
+  /// Caches what tree_from served for `source` as exact at the current
+  /// weights and mask, most recently used first — or, when `served.cache`
+  /// is false, drops any tree cached for `source`; beyond
+  /// graph::kDefaultSpCacheCapacity trees the least recently used goes.
+  void commit(graph::VertexId source, ServedTree served);
+
   // --- State export (serve snapshot/restore + tests) ------------------------
   // The view's *decision-relevant* state is entirely derivable from the
-  // residuals (weights are a pure function of them); the era counter and
+  // residuals (weights are a pure function of them); the patch history and
   // tree cache are performance state only. These accessors exist so
   // snapshot round-trip tests can assert exactly that: after a restore the
-  // weights must match the uninterrupted run edge-for-edge, while era/cache
-  // may legitimately differ without perturbing a single decision.
+  // weights must match the uninterrupted run edge-for-edge, while the
+  // history and cache may legitimately differ without perturbing a single
+  // decision.
 
-  /// Eras completed: construction + every rebuild() / apply_release().
-  std::uint64_t era() const noexcept { return era_; }
   /// Cached shortest-path trees currently held.
-  std::size_t cached_trees() const noexcept { return cache_.size(); }
-  /// Patched-weight applications since construction (apply_allocate calls).
+  std::size_t cached_trees() const noexcept { return index_.size(); }
+  /// Patched-weight applications since construction (apply_allocate and
+  /// apply_release calls).
   std::uint64_t patches_applied() const noexcept { return patches_applied_; }
 
   /// True when the adaptive policy currently selects the incremental cache
@@ -135,34 +169,68 @@ class OnlineWeightedView {
   /// costs more than the Dijkstras it saves (GEANT's 61 links fall under,
   /// the smallest Waxman config's ~200 stay over).
   static constexpr std::size_t kPolicyMinEdges = 128;
+  /// tree_from repairs a cached tree only while at most this many changed
+  /// edges per vertex affect it: a repair's cost grows with them and passes
+  /// a fresh run's (or, for a row, the early-exit run's) at about |V| / 10
+  /// of them on the Waxman configs.
+  static constexpr double kRepairMaxAffecting = 0.1;
   /// If a typical admission patches more than this fraction of all edges,
-  /// rebind_keep evicts most of the cache every request and caching loses
+  /// most cached trees need large repairs every request and caching loses
   /// regardless of size.
   static constexpr double kPolicyMaxChurnFraction = 0.5;
 
  private:
-  bool tree_valid(const nfv::ResourceState& state, graph::VertexId source,
-                  const graph::ShortestPaths& tree, double b) const;
-  /// Fills mask_ with nfv::edge_eligible(state, e, b) for every edge — the
-  /// predicate is a pure function of (state, b), so one O(|E|) sweep per
-  /// trees_for call replaces a per-scanned-edge std::function call in every
-  /// Dijkstra.
+  struct CachedTree {
+    graph::VertexId source = graph::kInvalidVertex;
+    std::shared_ptr<const graph::ShortestPaths> tree;
+    /// log_end_ when the tree was last known exact.
+    std::uint64_t version = 0;
+    /// The eligibility mask it is exact under, one bit per edge.
+    std::vector<std::uint64_t> mask_bits;
+    bool ordered = false;
+  };
+  using Lru = std::list<CachedTree>;
+
+  /// Fills mask_ and mask_bits_ with nfv::edge_eligible(state, e, b) for
+  /// every edge — the predicate is a pure function of (state, b), so one
+  /// O(|E|) sweep per trees_for call replaces a per-scanned-edge
+  /// std::function call in every Dijkstra.
   void build_eligibility_mask(const nfv::ResourceState& state, double b);
+  /// Re-weights the footprint's edges and logs the ones that moved;
+  /// returns how many moved.
+  std::size_t patch(const nfv::Footprint& footprint);
+  /// Fills `changed` with the edges eligible before or now whose weight or
+  /// eligibility changed since `cached` was exact; false when more than
+  /// `max_logged` weight changes were logged since, or the change log no
+  /// longer reaches back that far.
+  bool changed_since(const CachedTree& cached, std::size_t max_logged,
+                     std::vector<graph::EdgeId>& changed) const;
+  void clear_cache() noexcept;
+  void update_min_weight() noexcept;
+  /// False while some edge weight is zero: no tree is then repairable
+  /// (graph::SpEngine::dist_id_ordered fails).
+  bool repairable() const noexcept { return min_weight_ > 0.0; }
 
   const topo::Topology* topo_;
   EdgeWeightFn edge_weight_;
   graph::Graph view_;
-  graph::SpCache cache_;
-  /// Per-edge eligibility bitmap, rebuilt once per trees_for call.
+  /// Cached trees, most recently used first, and their index by source.
+  Lru lru_;
+  std::unordered_map<graph::VertexId, Lru::iterator> index_;
+  /// Per-edge eligibility bytes and bits, rebuilt once per trees_for call.
   std::vector<std::uint8_t> mask_;
+  std::vector<std::uint64_t> mask_bits_;
+  /// Edges whose weight moved, in patch order: entry i holds version
+  /// log_begin_ + i. Trimmed to the newest |E| entries once it doubles
+  /// that; a tree older than the trimmed history is recomputed.
+  std::vector<graph::EdgeId> change_log_;
+  std::uint64_t log_begin_ = 0;
+  std::uint64_t log_end_ = 0;
+  /// Smallest edge weight of view_, refreshed by every patch.
+  double min_weight_ = 0.0;
   /// EWMA of edges whose weight actually changed per apply_allocate.
   double churn_ewma_ = 0.0;
   ViewPolicy policy_ = ViewPolicy::kAdaptive;
-  /// b_T per cached source: the eligibility threshold the tree was computed
-  /// at. Stale entries for evicted sources are harmless (overwritten on the
-  /// next insert, ignored when try_get misses).
-  std::unordered_map<graph::VertexId, double> built_at_b_;
-  std::uint64_t era_ = 0;
   std::uint64_t patches_applied_ = 0;
 };
 

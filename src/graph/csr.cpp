@@ -1,5 +1,7 @@
 #include "graph/csr.h"
 
+#include <limits>
+
 #include "obs/metrics.h"
 
 namespace nfvm::graph {
@@ -17,11 +19,13 @@ void CsrView::rebuild(const Graph& g) {
 
   dial_eligible_ = true;
   max_int_weight_ = 1;
+  min_weight_ = std::numeric_limits<double>::infinity();
   for (VertexId v = 0; v < n; ++v) {
     offsets_[v] = entries_.size();
     for (const Adjacency& adj : g.neighbors(v)) {
       const double w = edges[adj.edge].weight;
       entries_.push_back(CsrEntry{adj.neighbor, adj.edge, w});
+      if (w < min_weight_) min_weight_ = w;
       if (dial_eligible_) {
         if (w < 1.0 || w > kMaxDialWeight || w != static_cast<double>(static_cast<std::uint32_t>(w))) {
           dial_eligible_ = false;

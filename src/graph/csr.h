@@ -81,12 +81,18 @@ class CsrView {
   /// dial_eligible() is true (sizes the engine's bucket ring).
   std::uint32_t max_integer_weight() const noexcept { return max_int_weight_; }
 
+  /// Smallest edge weight (+inf for an edgeless graph). Bounds from below
+  /// every step a Dijkstra over this view can take, which is what the
+  /// repair's settle-order guard needs (SpEngine::dist_id_ordered).
+  double min_weight() const noexcept { return min_weight_; }
+
  private:
   bool built_ = false;
   std::uint64_t uid_ = 0;
   std::uint64_t epoch_ = 0;
   bool dial_eligible_ = false;
   std::uint32_t max_int_weight_ = 0;
+  double min_weight_ = 0.0;
   std::vector<std::size_t> offsets_;  // size num_vertices + 1
   std::vector<CsrEntry> entries_;
 };

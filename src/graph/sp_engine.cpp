@@ -1,6 +1,8 @@
 #include "graph/sp_engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -373,6 +375,318 @@ VertexId SpEngine::grow_step(const Graph& g,
   return last_settled_target_;
 }
 
+// --- Tree repair ----------------------------------------------------------------
+
+namespace {
+
+/// Above this share of the reached vertices re-settled, a repair costs about
+/// what a fresh run does plus its own bookkeeping, so it gives up.
+constexpr double kRepairMaxFraction = 0.5;
+
+/// repair_mark_ bits.
+constexpr std::uint8_t kMarkDecided = 1;  // subtree walk has classified v
+constexpr std::uint8_t kMarkReset = 2;    // v lies under a risen tree edge
+constexpr std::uint8_t kMarkRederive = 4;  // v is queued for parent re-derivation
+
+bool edge_allowed_by(const std::uint8_t* mask, EdgeId e) noexcept {
+  return mask == nullptr || mask[e] != 0;
+}
+
+/// (dist[u], u, e) lexicographic: the order in which a run settled in
+/// (distance, id) order first relaxes v through u over edge e (parallel
+/// edges sit in adjacency order, which is ascending edge id).
+bool relaxes_first(double du, VertexId u, EdgeId e, double dp, VertexId p,
+                   EdgeId pe) noexcept {
+  if (du != dp) return du < dp;
+  if (u != p) return u < p;
+  return e < pe;
+}
+
+/// The largest finite distance (0 when only the source is reached).
+double max_finite(std::span<const double> dist) noexcept {
+  double max_dist = 0.0;
+  for (double d : dist) {
+    if (d < kInfiniteDistance && d > max_dist) max_dist = d;
+  }
+  return max_dist;
+}
+
+}  // namespace
+
+bool SpEngine::steps_grow(double max_dist) const noexcept {
+  const double w = view_.min_weight();
+  const double ulp =
+      std::nextafter(max_dist, std::numeric_limits<double>::infinity()) - max_dist;
+  return w > 0.0 && w > 0.5 * ulp;
+}
+
+bool SpEngine::dist_id_ordered(const Graph& g, const ShortestPaths& tree) {
+  view_.refresh(g);
+  return steps_grow(max_finite(tree.dist));
+}
+
+void SpEngine::note_moved(VertexId v, double old_dist) {
+  if (stamp_[v] == generation_) return;
+  stamp_[v] = generation_;
+  dist_[v] = old_dist;
+  reached_.push_back(v);
+}
+
+void SpEngine::check_repair_args(const Graph& g, const ShortestPaths& tree,
+                                 std::span<const EdgeId> changed,
+                                 std::span<const std::uint8_t> edge_mask) const {
+  if (!g.has_vertex(tree.source)) {
+    throw std::out_of_range("dijkstra: invalid source vertex");
+  }
+  if (tree.dist.size() != g.num_vertices() || tree.parent.size() != g.num_vertices() ||
+      tree.parent_edge.size() != g.num_vertices()) {
+    throw std::invalid_argument("repair: tree vertex count differs from the graph");
+  }
+  if (!edge_mask.empty() && edge_mask.size() < g.num_edges()) {
+    throw std::invalid_argument("dijkstra: edge mask smaller than edge count");
+  }
+  for (EdgeId e : changed) {
+    if (!g.has_edge(e)) throw std::out_of_range("repair: invalid changed edge");
+  }
+}
+
+std::size_t SpEngine::affecting_edges(const Graph& g, const ShortestPaths& tree,
+                                     bool ordered, std::span<const EdgeId> changed,
+                                     std::span<const std::uint8_t> edge_mask,
+                                     std::size_t stop_at) const {
+  check_repair_args(g, tree, changed, edge_mask);
+  const std::uint8_t* mask = edge_mask.empty() ? nullptr : edge_mask.data();
+  const std::span<const Edge> edges = g.edges();
+  std::size_t count = 0;
+  for (EdgeId e : changed) {
+    if (count == stop_at) break;
+    const Edge& ed = edges[e];
+    if (ed.u == ed.v) continue;  // a self-loop never relaxes anything
+    const bool allowed = edge_allowed_by(mask, e);
+    for (const auto& [x, y] : {std::pair{ed.u, ed.v}, std::pair{ed.v, ed.u}}) {
+      if (y == tree.source) continue;
+      const double dx = tree.dist[x];
+      const double step = allowed && dx < kInfiniteDistance ? dx + ed.weight
+                                                            : kInfiniteDistance;
+      const double dy = tree.dist[y];
+      bool affects = false;
+      if (tree.parent_edge[y] == e) {
+        affects = !ordered || step != dy;
+      } else if (step < dy) {
+        affects = true;
+      } else if (step == dy && step < kInfiniteDistance) {
+        const VertexId p = tree.parent[y];
+        affects = !ordered ||
+                  relaxes_first(dx, x, e, tree.dist[p], p, tree.parent_edge[y]);
+      }
+      if (affects) {
+        ++count;
+        break;
+      }
+    }
+  }
+  return count;
+}
+
+SpEngine::Repair SpEngine::repair_shortest_paths(const Graph& g,
+                                                 const ShortestPaths& tree, bool ordered,
+                                                 std::span<const EdgeId> changed,
+                                                 std::span<const std::uint8_t> edge_mask,
+                                                 ShortestPaths& out) {
+  NFVM_SPAN("graph/sp_repair");
+  // Screen: the tree is already exact unless some changed edge affects it.
+  const bool affected = affecting_edges(g, tree, ordered, changed, edge_mask, 1) > 0;
+  const std::uint8_t* mask = edge_mask.empty() ? nullptr : edge_mask.data();
+  view_.refresh(g);
+  if (!affected && (!ordered || steps_grow(max_finite(tree.dist)))) {
+    return Repair::kUnchanged;
+  }
+  if (affected && ordered) {
+    const auto reached = static_cast<double>(std::count_if(
+        tree.dist.begin(), tree.dist.end(),
+        [](double d) { return d < kInfiniteDistance; }));
+    const auto limit = static_cast<std::size_t>(kRepairMaxFraction * reached);
+    if (repair_into(g, tree, changed, mask, limit, out) &&
+        steps_grow(max_finite(out.dist))) {
+      return Repair::kRepaired;
+    }
+  }
+  out = shortest_paths_masked(g, tree.source, edge_mask);
+  return Repair::kRecomputed;
+}
+
+bool SpEngine::repair_into(const Graph& g, const ShortestPaths& tree,
+                           std::span<const EdgeId> changed, const std::uint8_t* mask,
+                           std::size_t limit, ShortestPaths& out) {
+  prepare(g);  // fresh stamps: stamp_[v] == generation_ marks a moved vertex
+  const std::size_t n = tree.dist.size();
+  if (repair_mark_.size() < n) repair_mark_.resize(n, 0);
+  NFVM_OBS_ONLY(std::uint64_t edges_scanned = 0;)
+  bool ok = true;
+
+  // 1. Risen steps: the heads of tree edges whose step no longer reaches
+  //    them (weight up, or masked out) root the subtrees to reset.
+  bool any_reset = false;
+  for (EdgeId e : changed) {
+    const Edge& ed = g.edge(e);
+    if (ed.u == ed.v) continue;
+    for (VertexId c : {ed.u, ed.v}) {
+      if (tree.parent_edge[c] != e) continue;
+      const VertexId p = tree.parent[c];
+      if (!edge_allowed_by(mask, e) || tree.dist[p] + ed.weight > tree.dist[c]) {
+        repair_mark_[c] = kMarkDecided | kMarkReset;
+        any_reset = true;
+      }
+    }
+  }
+  std::vector<VertexId>& reset = repair_list_;
+  reset.clear();
+  if (any_reset) {
+    // Classify every reached vertex by walking up to a classified ancestor.
+    repair_mark_[tree.source] = kMarkDecided;
+    for (VertexId v = 0; v < n; ++v) {
+      if (tree.dist[v] == kInfiniteDistance) continue;
+      VertexId x = v;
+      while ((repair_mark_[x] & kMarkDecided) == 0) x = tree.parent[x];
+      const std::uint8_t mark = repair_mark_[x];
+      for (VertexId y = v; (repair_mark_[y] & kMarkDecided) == 0; y = tree.parent[y]) {
+        repair_mark_[y] = mark;
+      }
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      if ((repair_mark_[v] & kMarkReset) != 0) reset.push_back(v);
+    }
+    ok = reset.size() <= limit;
+  }
+  std::vector<double>& dist = out.dist;
+  const auto moved = [&](VertexId v) { return stamp_[v] == generation_; };
+  // Offers v the step nd from u over e: a strict improvement re-labels and
+  // queues v; a tie on a moved vertex keeps the first relaxer by
+  // (dist[u], u, e). Every candidate of a moved vertex passes through here
+  // with its final distance (moved vertices relax when popped, unmoved
+  // ones only tie with a reset vertex's seed or across a changed edge), so
+  // moved vertices need no parent re-derivation.
+  const auto offer = [&](VertexId v, VertexId u, EdgeId e, double nd) {
+    if (nd < dist[v]) {
+      note_moved(v, dist[v]);
+      dist[v] = nd;
+      out.parent[v] = u;
+      out.parent_edge[v] = e;
+      heap_push(HeapItem{nd, v});
+    } else if (nd == dist[v] && nd < kInfiniteDistance && moved(v)) {
+      const VertexId p = out.parent[v];
+      if (relaxes_first(dist[u], u, e, dist[p], p, out.parent_edge[v])) {
+        out.parent[v] = u;
+        out.parent_edge[v] = e;
+      }
+    }
+  };
+  if (ok) {
+    out = tree;
+    for (VertexId v : reset) {
+      note_moved(v, dist[v]);
+      dist[v] = kInfiniteDistance;
+      out.parent[v] = kInvalidVertex;
+      out.parent_edge[v] = kInvalidEdge;
+    }
+    // Seed each reset vertex from its neighbours outside the reset set.
+    for (VertexId v : reset) {
+      for (const CsrEntry& entry : view_.out(v)) {
+        const VertexId u = entry.neighbor;
+        if (!edge_allowed_by(mask, entry.edge) || (repair_mark_[u] & kMarkReset) != 0) {
+          continue;
+        }
+        NFVM_OBS_ONLY(++edges_scanned;)
+        const double nd = dist[u] + entry.weight;
+        if (nd < dist[v] ||
+            (nd == dist[v] && nd < kInfiniteDistance &&
+             relaxes_first(dist[u], u, entry.edge, dist[out.parent[v]], out.parent[v],
+                           out.parent_edge[v]))) {
+          dist[v] = nd;
+          out.parent[v] = u;
+          out.parent_edge[v] = entry.edge;
+        }
+      }
+      if (dist[v] < kInfiniteDistance) heap_push(HeapItem{dist[v], v});
+    }
+
+    // 2. Fallen steps: relax across every changed edge, both ways.
+    for (EdgeId e : changed) {
+      const Edge& ed = g.edge(e);
+      if (ed.u == ed.v || !edge_allowed_by(mask, e)) continue;
+      for (const auto& [x, y] : {std::pair{ed.u, ed.v}, std::pair{ed.v, ed.u}}) {
+        offer(y, x, e, dist[x] + ed.weight);
+      }
+    }
+
+    // 3. Dijkstra from everything seeded above, over the new weights.
+    while (!heap_.empty() && reached_.size() <= limit) {
+      const HeapItem top = heap_pop();
+      const VertexId u = top.vertex;
+      if (top.dist > dist[u]) continue;  // stale entry
+      for (const CsrEntry& entry : view_.out(u)) {
+        if (!edge_allowed_by(mask, entry.edge)) continue;
+        NFVM_OBS_ONLY(++edges_scanned;)
+        offer(entry.neighbor, u, entry.edge, top.dist + entry.weight);
+      }
+    }
+    ok = reached_.size() <= limit;
+  }
+
+  if (ok) {
+    // 4. Parents of unmoved vertices whose candidates changed: neighbours
+    //    of a vertex whose distance changed that had it as parent or now
+    //    have it as a candidate (no other neighbour's candidate set moved),
+    //    and both ends of every changed edge.
+    std::vector<VertexId>& rederive = repair_list_;
+    rederive.clear();
+    const auto queue = [&](VertexId v) {
+      if (moved(v) || (repair_mark_[v] & kMarkRederive) != 0) return;
+      repair_mark_[v] |= kMarkRederive;
+      rederive.push_back(v);
+    };
+    for (VertexId v : reached_) {
+      if (dist[v] == dist_[v]) continue;
+      for (const CsrEntry& entry : view_.out(v)) {
+        const VertexId y = entry.neighbor;
+        if (out.parent[y] == v ||
+            (edge_allowed_by(mask, entry.edge) && dist[v] + entry.weight == dist[y])) {
+          queue(y);
+        }
+      }
+    }
+    for (EdgeId e : changed) {
+      queue(g.edge(e).u);
+      queue(g.edge(e).v);
+    }
+    for (VertexId v : rederive) {
+      if (v == out.source || dist[v] == kInfiniteDistance) continue;
+      VertexId best = kInvalidVertex;
+      EdgeId best_edge = kInvalidEdge;
+      for (const CsrEntry& entry : view_.out(v)) {
+        const VertexId u = entry.neighbor;
+        if (u == v || !edge_allowed_by(mask, entry.edge)) continue;
+        NFVM_OBS_ONLY(++edges_scanned;)
+        if (dist[u] + entry.weight != dist[v]) continue;
+        if (best == kInvalidVertex ||
+            relaxes_first(dist[u], u, entry.edge, dist[best], best, best_edge)) {
+          best = u;
+          best_edge = entry.edge;
+        }
+      }
+      out.parent[v] = best;
+      out.parent_edge[v] = best_edge;
+    }
+  }
+
+  std::fill(repair_mark_.begin(), repair_mark_.begin() + static_cast<std::ptrdiff_t>(n),
+            std::uint8_t{0});
+  heap_.clear();
+  NFVM_COUNTER_ADD("graph.dijkstra.edges_scanned", edges_scanned);
+  NFVM_COUNTER_ADD("graph.sp_repair.vertices_resettled", reached_.size());
+  return ok;
+}
+
 SpEngine& SpEngine::thread_local_engine() {
   thread_local SpEngine engine;
   return engine;
@@ -456,25 +770,6 @@ void SpCache::put(const Graph& g, VertexId source,
     index_.erase(lru_.back().first);
     lru_.pop_back();
   }
-}
-
-void SpCache::rebind_keep(
-    const Graph& g,
-    const std::function<bool(VertexId, const ShortestPaths&)>& keep) {
-  NFVM_OBS_ONLY(std::uint64_t dropped = 0;)
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (keep(it->first, *it->second)) {
-      ++it;
-      continue;
-    }
-    index_.erase(it->first);
-    it = lru_.erase(it);
-    NFVM_OBS_ONLY(++dropped;)
-  }
-  uid_ = g.uid();
-  epoch_ = g.epoch();
-  bound_ = true;
-  NFVM_COUNTER_ADD("graph.spcache.keyed_evictions", dropped);
 }
 
 void SpCache::clear() {

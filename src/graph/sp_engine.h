@@ -24,6 +24,11 @@
 //    (distance, vertex id) pop order exactly, so the two paths are
 //    bit-identical — which tests/test_sp_dial.cpp asserts.
 //
+//  * SpEngine::repair_shortest_paths — brings a tree computed on earlier
+//    weights and an earlier edge mask up to date with the current ones,
+//    bit-identical to a fresh masked run, touching only the region the
+//    changed edges affect (docs/performance.md, "Tree repair").
+//
 //  * SpCache — an LRU of shortest-path trees keyed by
 //    (graph uid, graph epoch, source). Sharing one cache across a
 //    request's lifetime stops Appro_Multi / Alg_One_Server / the Steiner
@@ -121,6 +126,73 @@ class SpEngine {
   VertexId grow_step(const Graph& g, std::span<const VertexId> tree_vertices,
                      std::span<const VertexId> targets);
 
+  /// True when a heap or Dial run over `g`'s current weights reaching
+  /// `tree`'s distances settles its vertices in (distance, vertex id)
+  /// order: every step strictly grows a distance, i.e. fl(d + w) > d for
+  /// every edge weight w and every finite distance d of `tree`. Checked as
+  /// w_min > 0 and w_min > ulp(D) / 2, with w_min the smallest edge weight
+  /// and D the largest finite distance (ulp(d) never exceeds ulp(D)).
+  /// Zero-weight or absorbed edges let a vertex discovered later settle
+  /// before a smaller id at the same distance; such a tree cannot be
+  /// repaired (repair_shortest_paths' precondition).
+  bool dist_id_ordered(const Graph& g, const ShortestPaths& tree);
+
+  /// What repair_shortest_paths did.
+  enum class Repair : std::uint8_t {
+    kUnchanged,   ///< `tree` is already exact; `out` is untouched
+    kRepaired,    ///< `out` holds the repaired tree
+    kRecomputed,  ///< the guard or the size limit failed; `out` is fresh
+  };
+
+  /// Brings `tree` up to date. `tree` must be exactly what
+  /// shortest_paths_masked built on earlier weights W0 and mask M0 (or a
+  /// previous repair's result); `ordered` says whether dist_id_ordered held
+  /// for it on W0. `changed` lists every edge whose weight or mask byte
+  /// differs between (W0, M0) and (g's current weights W1, `edge_mask` M1);
+  /// extra edges are harmless. The result (`tree` itself when kUnchanged,
+  /// else `out`) is bit-identical to shortest_paths_masked(g, tree.source,
+  /// edge_mask): dist, parent and parent_edge. A kUnchanged tree keeps its
+  /// `ordered`; a kRepaired one is ordered on W1.
+  ///
+  /// Distances are the least fixpoint of left-fold path sums (float
+  /// addition is monotone), so a label-correcting pass from the changed
+  /// edges reaches them: the tree descendants of edges whose step
+  /// fl(dist[p] + w) rose, or whose mask bit fell, are reset and seeded
+  /// from their neighbours outside that set; the heads of edges whose step
+  /// fell below the head's distance are relaxed; then Dijkstra runs from
+  /// all of them. Parents follow the heap's first-relaxer rule: with
+  /// settles in (distance, id) order, parent[v] is the neighbour u with
+  /// fl(dist[u] + w(u, v)) == dist[v] and the smallest (dist[u], u), over
+  /// its parallel edges the smallest edge id (adjacency order). Re-settled
+  /// vertices keep the smallest such key while they are relaxed; unmoved
+  /// vertices whose candidates changed — a neighbour whose distance changed
+  /// was their parent or now ties, or they end a changed edge — are
+  /// re-derived by scanning their edges.
+  /// When `ordered` is false (then only changed edges that relax nothing
+  /// leave the tree as it is), when the result fails dist_id_ordered on
+  /// W1, or when the re-settled region exceeds a fixed fraction of the
+  /// reached vertices, `out` is computed from scratch instead
+  /// (kRecomputed). Scanned edges count into graph.dijkstra.edges_scanned,
+  /// re-settled vertices into graph.sp_repair.vertices_resettled. Throws
+  /// like shortest_paths_masked, plus std::invalid_argument for a tree of
+  /// another vertex count and std::out_of_range for a bad changed edge.
+  Repair repair_shortest_paths(const Graph& g, const ShortestPaths& tree,
+                               bool ordered, std::span<const EdgeId> changed,
+                               std::span<const std::uint8_t> edge_mask,
+                               ShortestPaths& out);
+
+  /// How many of `changed` affect `tree` (arguments as for
+  /// repair_shortest_paths), counting no further than `stop_at`: edges that
+  /// move a step along the tree, undercut a distance, or offer a vertex an
+  /// earlier first relaxer than its parent — with `ordered` false, edges
+  /// that relax anything. With none, the tree is still exact (given its
+  /// settle order), and a repair's work grows with the count.
+  /// O(|changed|).
+  std::size_t affecting_edges(const Graph& g, const ShortestPaths& tree, bool ordered,
+                              std::span<const EdgeId> changed,
+                              std::span<const std::uint8_t> edge_mask,
+                              std::size_t stop_at = SIZE_MAX) const;
+
   /// Workspace reads for vertices reached by the last query (unchecked).
   VertexId parent_of(VertexId v) const noexcept { return parent_[v]; }
   EdgeId parent_edge_of(VertexId v) const noexcept { return parent_edge_[v]; }
@@ -174,6 +246,20 @@ class SpEngine {
                 const std::uint8_t* edge_mask, std::size_t targets_remaining);
   /// Copies the touched region of the workspace into a ShortestPaths.
   ShortestPaths materialize(VertexId source) const;
+  /// True when the view's smallest weight strictly grows every distance up
+  /// to `max_dist` (dist_id_ordered's test).
+  bool steps_grow(double max_dist) const noexcept;
+  void check_repair_args(const Graph& g, const ShortestPaths& tree,
+                         std::span<const EdgeId> changed,
+                         std::span<const std::uint8_t> edge_mask) const;
+
+  /// repair_shortest_paths' work: writes the repaired `tree` to `out`;
+  /// false when the re-settled region outgrows `limit` vertices.
+  bool repair_into(const Graph& g, const ShortestPaths& tree,
+                   std::span<const EdgeId> changed, const std::uint8_t* mask,
+                   std::size_t limit, ShortestPaths& out);
+  /// Records v's pre-repair distance the first time the repair moves it.
+  void note_moved(VertexId v, double old_dist);
 
   CsrView view_;
   std::vector<double> dist_;
@@ -193,6 +279,9 @@ class SpEngine {
   std::vector<VertexId> bucket_scratch_;  // drain staging, sorted by id
   bool last_used_dial_ = false;
   VertexId last_settled_target_ = kInvalidVertex;
+  /// Repair scratch: per-vertex subtree marks and the re-derive set.
+  std::vector<std::uint8_t> repair_mark_;
+  std::vector<VertexId> repair_list_;
 };
 
 /// Parallel batched SSSP over the global ThreadPool: slot i of the result
@@ -232,18 +321,6 @@ class SpCache {
   /// current (uid, epoch) of `g`. Replaces any existing entry for `source`.
   void put(const Graph& g, VertexId source,
            std::shared_ptr<const ShortestPaths> paths);
-
-  /// Keyed invalidation: rebinds the cache to the *current* (uid, epoch) of
-  /// `g` without the wholesale flush of the implicit sync(). Entries for
-  /// which `keep(source, tree)` returns true survive under the new key (LRU
-  /// order preserved); the rest are evicted and counted by
-  /// `graph.spcache.keyed_evictions`. For callers that mutate the graph in a
-  /// controlled way — e.g. the online incremental view patching a few edge
-  /// weights after an admission — and can prove exactly which cached trees
-  /// the mutation left intact. The caller owns that proof: a kept entry is
-  /// served as-is on the next try_get.
-  void rebind_keep(const Graph& g,
-                   const std::function<bool(VertexId, const ShortestPaths&)>& keep);
 
   void clear();
   std::size_t size() const noexcept { return index_.size(); }

@@ -110,12 +110,12 @@ SteinerResult kmb_from_terminal_tables(const Graph& g,
   const std::size_t t = terms.size();
   // Rows fetched for tableless terminals, one slot per terminal and sized
   // once, so the pointers stored in `sp` stay valid.
-  std::vector<ShortestPaths> fetched;
+  std::vector<std::shared_ptr<const ShortestPaths>> fetched;
   std::vector<VertexId> targets;
   const auto fetch = [&](std::size_t i) {
     if (fetched.empty()) fetched.resize(t);
     fetched[i] = (*row_to)(terms[i], targets);
-    sp[i] = &fetched[i];
+    sp[i] = fetched[i].get();
   };
   if (sp[0] == nullptr) {
     // The root is Prim's first pick, and every other terminal its target.

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -41,10 +42,11 @@ SteinerResult kmb_steiner(const Graph& g, std::span<const VertexId> terminals);
 
 /// Row fetcher for kmb_steiner_lazy: the shortest-path table from `source`
 /// on the KMB graph, exact at every vertex of `targets` and at every vertex
-/// on their shortest paths (SpEngine::shortest_paths_to). Other entries may
-/// be tentative upper bounds on the full table's value.
-using KmbRowFn = std::function<ShortestPaths(VertexId source,
-                                             std::span<const VertexId> targets)>;
+/// on their shortest paths (SpEngine::shortest_paths_to, or a full tree).
+/// Other entries may be tentative upper bounds on the full table's value.
+/// Shared, so a cached full tree is handed over without a copy.
+using KmbRowFn = std::function<std::shared_ptr<const ShortestPaths>(
+    VertexId source, std::span<const VertexId> targets)>;
 
 /// KMB from caller-supplied per-terminal shortest-path tables: identical to
 /// kmb_steiner except that step 1 (one SSSP per distinct terminal) is

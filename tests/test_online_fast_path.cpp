@@ -1,7 +1,7 @@
 // The online admission fast path: the closure-MST bound behind Online_CP's
-// pruned server scan and its lazy server rows, OnlineWeightedView patch/era
-// semantics, keyed SpCache invalidation, the lazy table-driven KMB entry
-// point, and RejectTracker precedence. Trace equivalence against the
+// pruned server scan and its lazy server rows, OnlineWeightedView patch and
+// repair semantics, the lazy table-driven KMB entry point, and
+// RejectTracker precedence. Trace equivalence against the
 // per-request rebuild lives in test_oracle_equivalence.cpp.
 #include <gtest/gtest.h>
 
@@ -92,7 +92,7 @@ TEST(ClosureMstBound, InsertionMatchesScratchAndBoundsKmbOnLoadedStates) {
     const graph::KmbRowFn no_rows = [](graph::VertexId,
                                        std::span<const graph::VertexId>) {
       ADD_FAILURE() << "row fetched although every table exists";
-      return graph::ShortestPaths{};
+      return std::make_shared<const graph::ShortestPaths>();
     };
 
     for (int trial = 0; trial < 8; ++trial) {
@@ -140,8 +140,9 @@ TEST(ClosureMstBound, InsertionMatchesScratchAndBoundsKmbOnLoadedStates) {
         };
         const graph::KmbRowFn row_to =
             [&](graph::VertexId x, std::span<const graph::VertexId> targets) {
-              return graph::SpEngine::thread_local_engine().shortest_paths_to(
-                  view.graph(), x, targets, view.eligibility_mask());
+              return std::make_shared<const graph::ShortestPaths>(
+                  graph::SpEngine::thread_local_engine().shortest_paths_to(
+                      view.graph(), x, targets, view.eligibility_mask()));
             };
         const graph::SteinerResult lazy =
             graph::kmb_steiner_lazy(view.graph(), terms, base_only, row_to);
@@ -197,7 +198,7 @@ topo::Topology triangle_tail_topology() {
   return t;
 }
 
-TEST(OnlineWeightedView, PatchEvictsOnlyTreesContainingChangedEdges) {
+TEST(OnlineWeightedView, PatchRepairsOnlyTreesTheChangeReaches) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
   // Weight = f(residual): halves of consumed bandwidth on top of the static
@@ -222,8 +223,8 @@ TEST(OnlineWeightedView, PatchEvictsOnlyTreesContainingChangedEdges) {
   view.apply_allocate(fp);
 
   const auto second = view.trees_for(state, sources, 50.0);
-  EXPECT_NE(second[0].get(), first[0].get());  // contained e2: evicted
-  EXPECT_EQ(second[1].get(), first[1].get());  // untouched: cache hit
+  EXPECT_NE(second[0].get(), first[0].get());  // contained e2: repaired
+  EXPECT_EQ(second[1].get(), first[1].get());  // e2 relaxes nothing there
   // The recomputed tree sees the patched weight: e2 now costs 1.6, so the
   // path 0-1-2 (2.0) still loses; bump it past 2.0 and the tree reroutes.
   nfv::Footprint fp2;
@@ -254,7 +255,7 @@ TEST(OnlineWeightedView, AllocationWithoutWeightChangeKeepsCache) {
   EXPECT_EQ(second[0].get(), first[0].get());
 }
 
-TEST(OnlineWeightedView, ReleaseStartsNewEraDroppingAllTrees) {
+TEST(OnlineWeightedView, ReleaseKeepsTreesItLeavesExact) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo,
@@ -270,11 +271,10 @@ TEST(OnlineWeightedView, ReleaseStartsNewEraDroppingAllTrees) {
   view.apply_allocate(fp);
   state.release(fp);
   view.apply_release(fp);
+  // Neither weights nor eligibility moved, so the same trees are served.
   const auto second = view.trees_for(state, sources, 50.0);
-  // Even weight-identical trees must be recomputed: a release can only be
-  // trusted through a full era reset.
-  EXPECT_NE(second[0].get(), first[0].get());
-  EXPECT_NE(second[1].get(), first[1].get());
+  EXPECT_EQ(second[0].get(), first[0].get());
+  EXPECT_EQ(second[1].get(), first[1].get());
 }
 
 TEST(OnlineWeightedView, LowerBandwidthThresholdForcesRecompute) {
@@ -285,14 +285,21 @@ TEST(OnlineWeightedView, LowerBandwidthThresholdForcesRecompute) {
   // Pin the incremental cache: these tests assert cache mechanics, and the
   // adaptive policy would (correctly) pick rebuild mode on a 4-edge graph.
   view.set_policy(ViewPolicy::kForceIncremental);
+  // Leave e2 (0-2, the tree from 0's edge to 2) 70 Mbps of residual.
+  nfv::Footprint fp;
+  fp.bandwidth = {{2, 930.0}};
+  state.allocate(fp);
+  view.apply_allocate(fp);
   const std::vector<graph::VertexId> sources = {0};
   const auto at_100 = view.trees_for(state, sources, 100.0);
-  // b' < b_T: eligibility at b' is a superset, the cached tree may be wrong.
+  EXPECT_EQ(at_100[0]->parent_edge[2], 1u);  // e2 ineligible: around it
+  // A lower threshold opens e2 (a mask bit 0 -> 1): the tree changes.
   const auto at_50 = view.trees_for(state, sources, 50.0);
   EXPECT_NE(at_50[0].get(), at_100[0].get());
-  // b' >= b_T with all tree edges still eligible: reuse.
-  const auto at_80 = view.trees_for(state, sources, 80.0);
-  EXPECT_EQ(at_80[0].get(), at_50[0].get());
+  EXPECT_EQ(at_50[0]->parent_edge[2], 2u);
+  // The same eligibility at a different threshold: reuse.
+  const auto at_60 = view.trees_for(state, sources, 60.0);
+  EXPECT_EQ(at_60[0].get(), at_50[0].get());
 }
 
 TEST(OnlineWeightedView, IneligibleTreeEdgeForcesRecompute) {

@@ -83,7 +83,7 @@ void expect_same_decision(const core::AdmissionDecision& a,
 /// Feeds the same request sequence through both algorithms and requires
 /// byte-identical decision streams. With `depart_every` > 0, the oldest
 /// still-held footprint is released after every depart_every-th request,
-/// exercising the era reset (cache drop + weight re-patch) mid-sequence.
+/// exercising tree repairs across weight decreases mid-sequence.
 void run_trace_equivalence(core::OnlineAlgorithm& production,
                            core::OnlineAlgorithm& oracle,
                            const std::vector<nfv::Request>& requests,
@@ -154,16 +154,19 @@ TEST(OracleEquivalence, OnlineOnWaxman100) {
   const std::uint64_t pruned_before = counter_value("core.online_cp.bound_pruned");
   const std::uint64_t skipped_before =
       counter_value("core.online_cp.server_rows_skipped");
+  const std::uint64_t repairs_before = counter_value("graph.spcache.repairs");
   run_online_smoke("waxman", 300);
 #if NFVM_OBS
   // Not vacuous: the run saturates the network far enough that the
-  // closure-MST bound settles candidates and KMB skips server rows it
-  // cannot use.
+  // closure-MST bound settles candidates, KMB skips server rows it cannot
+  // use, and cached shortest-path trees are repaired rather than rebuilt.
   EXPECT_GT(counter_value("core.online_cp.bound_pruned"), pruned_before);
   EXPECT_GT(counter_value("core.online_cp.server_rows_skipped"), skipped_before);
+  EXPECT_GT(counter_value("graph.spcache.repairs"), repairs_before);
 #else
   (void)pruned_before;
   (void)skipped_before;
+  (void)repairs_before;
 #endif
 }
 

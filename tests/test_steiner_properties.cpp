@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -174,7 +175,8 @@ LazyRun run_lazy(const Graph& g, const std::vector<VertexId>& terminals,
   const KmbRowFn row_to = [&](VertexId x, std::span<const VertexId> targets) {
     run.fetches.emplace_back(x,
                              std::vector<VertexId>(targets.begin(), targets.end()));
-    return SpEngine::thread_local_engine().shortest_paths_to(g, x, targets);
+    return std::make_shared<const ShortestPaths>(
+        SpEngine::thread_local_engine().shortest_paths_to(g, x, targets));
   };
   run.result = kmb_steiner_lazy(g, terminals, table_for, row_to);
   return run;
