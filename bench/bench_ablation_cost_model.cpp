@@ -50,9 +50,9 @@ int main() {
 
     core::OnlineSp sp(topo);
 
-    const sim::SimulationMetrics me = sim::run_online(exponential, requests);
-    const sim::SimulationMetrics ml = sim::run_online(linear, requests);
-    const sim::SimulationMetrics ms = sim::run_online(sp, requests);
+    const sim::RunMetrics me = sim::run_online(exponential, requests);
+    const sim::RunMetrics ml = sim::run_online(linear, requests);
+    const sim::RunMetrics ms = sim::run_online(sp, requests);
 
     table.begin_row()
         .add(topo.name)

@@ -36,7 +36,7 @@ int main() {
     opts.sigma_e = base_sigma * mult;
     opts.sigma_v = base_sigma * mult;
     core::OnlineCp cp(topo, opts);
-    const sim::SimulationMetrics m = sim::run_online(cp, requests);
+    const sim::RunMetrics m = sim::run_online(cp, requests);
     table.begin_row()
         .add(mult >= 1e9 ? std::string("inf") : util::format_double(mult, 1))
         .add(m.num_admitted)
@@ -47,8 +47,8 @@ int main() {
   // Baselines on the same arrival sequence for reference.
   core::OnlineSp sp(topo);
   core::OnlineSpStatic sp_static(topo);
-  const sim::SimulationMetrics msp = sim::run_online(sp, requests);
-  const sim::SimulationMetrics mst = sim::run_online(sp_static, requests);
+  const sim::RunMetrics msp = sim::run_online(sp, requests);
+  const sim::RunMetrics mst = sim::run_online(sp_static, requests);
   table.begin_row()
       .add("SP_adaptive")
       .add(msp.num_admitted)

@@ -36,7 +36,7 @@ int main() {
     std::vector<nfv::Request> online_requests = gen.sequence(online_n);
     for (nfv::Request& r : online_requests) r.max_delay_ms = bound;
     core::OnlineCp cp(topo);
-    const sim::SimulationMetrics mcp = sim::run_online(cp, online_requests);
+    const sim::RunMetrics mcp = sim::run_online(cp, online_requests);
 
     // Offline.
     util::Rng workload2(78);

@@ -40,9 +40,9 @@ int main() {
     core::OnlineCp cp(topo);
     core::OnlineSp sp(topo);
     core::OnlineSpStatic sp_static(topo);
-    const sim::SimulationMetrics mcp = sim::run_online(cp, requests);
-    const sim::SimulationMetrics msp = sim::run_online(sp, requests);
-    const sim::SimulationMetrics mst = sim::run_online(sp_static, requests);
+    const sim::RunMetrics mcp = sim::run_online(cp, requests);
+    const sim::RunMetrics msp = sim::run_online(sp, requests);
+    const sim::RunMetrics mst = sim::run_online(sp_static, requests);
 
     table.begin_row()
         .add(entries > 0 ? util::format_double(entries, 0) : std::string("inf"))

@@ -42,9 +42,9 @@ int main() {
     core::OnlineSpStatic sp_static(topo);
     sim::SimulatorOptions opts;
     opts.record_provenance = true;
-    const sim::SimulationMetrics mcp = sim::run_online(cp, requests, opts);
-    const sim::SimulationMetrics msp = sim::run_online(sp, requests, opts);
-    const sim::SimulationMetrics mst = sim::run_online(sp_static, requests, opts);
+    const sim::RunMetrics mcp = sim::run_online(cp, requests, opts);
+    const sim::RunMetrics msp = sim::run_online(sp, requests, opts);
+    const sim::RunMetrics mst = sim::run_online(sp_static, requests, opts);
 
     const std::size_t step = std::max<std::size_t>(1, num_requests / 6);
     for (std::size_t i = step - 1; i < num_requests; i += step) {

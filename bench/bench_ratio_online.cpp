@@ -37,7 +37,7 @@ int main() {
     const std::vector<nfv::Request> requests = gen.sequence(num_requests);
 
     core::OnlineCp cp(topo);
-    const sim::SimulationMetrics online = sim::run_online(cp, requests);
+    const sim::RunMetrics online = sim::run_online(cp, requests);
 
     core::BatchPlanOptions bopts;
     bopts.order = core::BatchOrder::kSmallestDemandFirst;

@@ -37,7 +37,7 @@ int main() {
     util::Rng workload(7);
     sim::RequestGenerator gen(topo, workload);
     core::OnlineCp cp(topo);
-    const sim::SimulationMetrics m = sim::run_online(cp, gen.sequence(200));
+    const sim::RunMetrics m = sim::run_online(cp, gen.sequence(200));
 
     // Offline cost on a fresh (uncapacitated) view.
     util::Rng costs_rng(11);

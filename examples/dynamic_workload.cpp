@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       case 1: algo = std::make_unique<core::OnlineSp>(topo); break;
       default: algo = std::make_unique<core::OnlineSpStatic>(topo); break;
     }
-    const sim::DynamicMetrics m = sim::run_online_dynamic(*algo, workload);
+    const sim::RunMetrics m = sim::run_online_dynamic(*algo, workload);
     table.begin_row()
         .add(std::string(algo->name()))
         .add(m.num_admitted)

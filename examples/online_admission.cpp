@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
 
   core::OnlineCp cp(topo);
   core::OnlineSp sp(topo);
-  const sim::SimulationMetrics mcp = sim::run_online(cp, requests);
-  const sim::SimulationMetrics msp = sim::run_online(sp, requests);
+  const sim::RunMetrics mcp = sim::run_online(cp, requests);
+  const sim::RunMetrics msp = sim::run_online(sp, requests);
 
   // Throughput over time, sampled every num_requests/10 arrivals.
   util::Table series({"arrivals", "Online_CP_admitted", "SP_admitted"});
@@ -60,14 +60,14 @@ int main(int argc, char** argv) {
       .add(mcp.acceptance_ratio(), 3)
       .add(mcp.final_bandwidth_utilization, 3)
       .add(mcp.final_compute_utilization, 3)
-      .add(mcp.decision_seconds.mean() * 1e3, 3);
+      .add(mcp.decision_us.mean() / 1e3, 3);
   summary.begin_row()
       .add("SP")
       .add(msp.num_admitted)
       .add(msp.acceptance_ratio(), 3)
       .add(msp.final_bandwidth_utilization, 3)
       .add(msp.final_compute_utilization, 3)
-      .add(msp.decision_seconds.mean() * 1e3, 3);
+      .add(msp.decision_us.mean() / 1e3, 3);
   std::cout << "\n";
   summary.print(std::cout);
 

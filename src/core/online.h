@@ -25,7 +25,7 @@ namespace nfvm::core {
 
 /// Machine-readable rejection classification. `reject_reason` keeps the
 /// human-oriented sentence; this enum is what metrics breakdowns
-/// (`online.reject.*` counters, SimulationMetrics::rejects_by_cause) key on.
+/// (`online.reject.*` counters, RunMetrics::rejects_by_cause) key on.
 enum class RejectCause : std::uint8_t {
   kNone = 0,   ///< admitted (or cause not recorded)
   kBandwidth,  ///< residual link bandwidth / connectivity at b_k

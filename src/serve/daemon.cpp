@@ -10,6 +10,7 @@
 #include <exception>
 #include <iostream>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/event_log.h"
@@ -79,6 +80,7 @@ bool FdLineSource::next(std::string& line) {
 Daemon::Daemon(core::OnlineAlgorithm& algorithm,
                std::map<std::string, std::string> config, DaemonOptions options)
     : algorithm_(&algorithm),
+      step_(algorithm),
       config_(std::move(config)),
       options_(std::move(options)) {}
 
@@ -228,10 +230,10 @@ DaemonStats Daemon::run(LineSource& source, std::ostream& out) {
   stats.active = active_.size();
   stats.stop_cause = stop_cause;
   stats.wall_seconds = wall.elapsed_seconds();
-  if (latency_.count() > 0) {
-    stats.p50_us = latency_.quantile(0.50);
-    stats.p90_us = latency_.quantile(0.90);
-    stats.p99_us = latency_.quantile(0.99);
+  if (service_us_.count() > 0) {
+    stats.p50_us = service_us_.quantile(0.50);
+    stats.p90_us = service_us_.quantile(0.90);
+    stats.p99_us = service_us_.quantile(0.99);
   }
   return stats;
 }
@@ -327,9 +329,10 @@ void Daemon::process_line(std::string line, double queued_us,
   bytes_consumed_ += raw_size + 1;
   ++counters_.lines;
   NFVM_COUNTER_INC("serve.lines");
-  const double us = queued_us + watch.elapsed_seconds() * 1e6;
-  latency_.observe(us);
-  NFVM_HDR_OBSERVE("serve.request_us", us);
+  const double service_us = watch.elapsed_seconds() * 1e6;
+  service_us_.observe(service_us);
+  NFVM_HDR_OBSERVE("serve.service_us", service_us);
+  NFVM_HDR_OBSERVE("serve.queue_wait_us", queued_us);
   NFVM_GAUGE_SET("serve.active", static_cast<double>(active_.size()));
 
   if (options_.snapshot_every != 0 && !options_.snapshot_path.empty() &&
@@ -363,13 +366,21 @@ void Daemon::handle_arrive(const nfv::Request& request,
   }
   core::AdmissionDecision decision;
   try {
-    decision = algorithm_->process(request);
-  } catch (const std::exception& e) {
+    decision = step_.admit(request);
+  } catch (const std::invalid_argument& e) {
     // parse_command pre-validates, so this is a belt-and-braces guard: the
     // daemon answers and lives on rather than dying on an engine surprise.
     ++counters_.invalid_requests;
     NFVM_COUNTER_INC("serve.invalid_requests");
     write_reply(out, error_reply("invalid", e.what(), position));
+    return;
+  } catch (const std::exception& e) {
+    // An engine fault, typically an admitted tree that failed validation
+    // (the step has released its footprint again). The request holds
+    // nothing, so its depart is acknowledged like a rejected one's.
+    rejected_pending_.insert(id);
+    NFVM_COUNTER_INC("serve.internal_errors");
+    write_reply(out, error_reply("internal", e.what(), position));
     return;
   }
   if (decision.admitted) {
@@ -388,7 +399,7 @@ void Daemon::handle_depart(std::uint64_t id, const LinePosition& position,
                            std::ostream& out) {
   const auto it = active_.find(id);
   if (it != active_.end()) {
-    algorithm_->release(it->second);
+    step_.release(it->second);
     active_.erase(it);
     last_released_ = id;
     ++counters_.departed;
@@ -450,9 +461,9 @@ void Daemon::emit_stats(std::ostream& out) {
       .field("invalid_requests", counters_.invalid_requests)
       .field("snapshots_written", counters_.snapshots_written)
       .field("active", active_.size())
-      .field("p50_us", latency_.count() > 0 ? latency_.quantile(0.50) : 0.0)
-      .field("p90_us", latency_.count() > 0 ? latency_.quantile(0.90) : 0.0)
-      .field("p99_us", latency_.count() > 0 ? latency_.quantile(0.99) : 0.0);
+      .field("p50_us", service_us_.count() > 0 ? service_us_.quantile(0.50) : 0.0)
+      .field("p90_us", service_us_.count() > 0 ? service_us_.quantile(0.90) : 0.0)
+      .field("p99_us", service_us_.count() > 0 ? service_us_.quantile(0.99) : 0.0);
   write_reply(out, reply.str());
 }
 

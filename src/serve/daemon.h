@@ -6,7 +6,9 @@
 // giving natural backpressure on pipes and sockets). The main loop pops one
 // line at a time, applies any scheduled faults, parses, dispatches, and
 // writes exactly one reply line - flushed immediately, so a kill -9 can
-// never lose output the client already saw.
+// never lose output the client already saw. Arrivals and departures go
+// through the simulator's admission step (sim/admission.h), so the daemon
+// times, validates and counts decisions exactly as nfvm-sim does.
 //
 // Robustness contract:
 //   * every input line gets exactly one reply, malformed ones a structured
@@ -18,7 +20,8 @@
 //     the in-flight line finishes, queued lines are dropped unanswered, a
 //     final snapshot and summary are written, run() returns;
 //   * all engine interaction is wrapped so hostile input can never throw out
-//     of the loop.
+//     of the loop; an admitted tree that fails validation is released again
+//     and answered with a structured {"ok":false,"error":"internal",...}.
 //
 // Crash recovery: snapshots (serve/snapshot.h) record the input cursor, the
 // active-request table, and the counters. restore() replays that state into
@@ -40,6 +43,7 @@
 #include "serve/fault_plan.h"
 #include "serve/protocol.h"
 #include "serve/snapshot.h"
+#include "sim/admission.h"
 
 namespace nfvm::serve {
 
@@ -105,8 +109,8 @@ struct DaemonStats {
   /// "eof", "drain", or "signal".
   std::string stop_cause = "eof";
   double wall_seconds = 0.0;
-  /// Request handling latency (queue wait + decision), microseconds;
-  /// 0 when no request was timed.
+  /// Per-line service time (parse, decision, reply; queue wait excluded),
+  /// microseconds; 0 when no line was served.
   double p50_us = 0.0;
   double p90_us = 0.0;
   double p99_us = 0.0;
@@ -151,6 +155,7 @@ class Daemon {
   }
 
   core::OnlineAlgorithm* algorithm_;
+  sim::AdmissionStep step_;
   std::map<std::string, std::string> config_;
   DaemonOptions options_;
 
@@ -169,7 +174,7 @@ class Daemon {
   std::uint64_t snapshot_seq_ = 0;
   std::uint64_t last_released_ = 0;  ///< dup_depart fault target
   bool drain_requested_ = false;
-  obs::HdrHistogram latency_;
+  obs::HdrHistogram service_us_;
 };
 
 }  // namespace nfvm::serve

@@ -22,13 +22,9 @@
 
 namespace nfvm::serve {
 
-struct TraceGenOptions {
+/// The arrival model is run_soak's sim::ArrivalProcess.
+struct TraceGenOptions : sim::ArrivalProcess {
   std::size_t num_requests = 1000;
-  /// Poisson arrival model, as sim::SoakOptions.
-  double arrival_rate = 1.0;
-  double mean_duration = 20.0;
-  double diurnal_amplitude = 0.0;
-  double diurnal_period = 86'400.0;
   /// Applied to every request; 0 = unconstrained.
   double max_delay_ms = 0.0;
   /// Emit a {"cmd":"snapshot"} line after every N arrivals; 0 disables.

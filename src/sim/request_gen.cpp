@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace nfvm::sim {
 
@@ -62,6 +63,31 @@ std::vector<nfv::Request> RequestGenerator::sequence(std::size_t count) {
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) out.push_back(next());
   return out;
+}
+
+void ArrivalProcess::check(std::string_view who) const {
+  const std::string prefix(who);
+  if (!(arrival_rate > 0) || !(mean_duration > 0)) {
+    throw std::invalid_argument(prefix + ": rates must be positive");
+  }
+  if (diurnal_amplitude < 0.0 || diurnal_amplitude >= 1.0) {
+    throw std::invalid_argument(prefix + ": diurnal amplitude must be in [0, 1)");
+  }
+  if (diurnal_amplitude > 0.0 && !(diurnal_period > 0.0)) {
+    throw std::invalid_argument(prefix + ": diurnal period must be positive");
+  }
+}
+
+double ArrivalProcess::next_arrival(util::Rng& rng, double clock) const {
+  constexpr double kTwoPi = 6.283185307179586;
+  const double peak_rate = arrival_rate * (1.0 + diurnal_amplitude);
+  for (;;) {
+    clock += rng.exponential(peak_rate);
+    if (diurnal_amplitude == 0.0) return clock;
+    const double rate =
+        arrival_rate * (1.0 + diurnal_amplitude * std::sin(kTwoPi * clock / diurnal_period));
+    if (rng.uniform01() * peak_rate < rate) return clock;
+  }
 }
 
 }  // namespace nfvm::sim

@@ -5,6 +5,7 @@
 // service chain over the five network functions.
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "nfv/request.h"
@@ -45,6 +46,37 @@ class RequestGenerator {
   util::Rng* rng_;
   RequestGenOptions options_;
   std::uint64_t next_id_ = 1;
+};
+
+/// The streaming arrival model shared by run_soak (sim/soak.h) and
+/// serve::write_serve_trace: Poisson arrivals, optionally diurnally
+/// modulated, with exponential holding times. Both draw from the same
+/// thinned-Poisson stream; each consumes the holding time and the request
+/// body in its own order around it.
+struct ArrivalProcess {
+  /// Base Poisson arrival rate (arrivals per simulated time unit).
+  double arrival_rate = 1.0;
+  /// Mean of the exponential holding-time distribution.
+  double mean_duration = 20.0;
+  /// Diurnal modulation amplitude A in [0, 1):
+  ///   rate(t) = arrival_rate * (1 + A * sin(2*pi*t / diurnal_period)).
+  /// 0 keeps arrivals homogeneous. Implemented by thinning a homogeneous
+  /// process at the peak rate, the standard exact method for
+  /// non-homogeneous Poisson processes.
+  double diurnal_amplitude = 0.0;
+  /// Simulated time units per diurnal cycle.
+  double diurnal_period = 86'400.0;
+
+  /// Throws std::invalid_argument, prefixed with `who`, for non-positive
+  /// rates, an amplitude outside [0, 1), or a non-positive period while the
+  /// modulation is on.
+  void check(std::string_view who) const;
+
+  /// Next arrival instant after `clock`. Homogeneous draws at the peak rate
+  /// are thinned down to the instantaneous rate (Lewis & Shedler); with zero
+  /// amplitude every candidate is accepted and this reduces to the plain
+  /// exponential gap.
+  double next_arrival(util::Rng& rng, double clock) const;
 };
 
 }  // namespace nfvm::sim

@@ -1,47 +1,26 @@
-// Online admission simulator: feeds an arrival sequence to an online
-// algorithm, validates every admitted pseudo-multicast tree against the
-// physical topology, and aggregates metrics.
+// Online admission simulator: one timed-arrival loop over the shared
+// admission step (sim/admission.h), which validates every admitted
+// pseudo-multicast tree against the physical topology and aggregates
+// RunMetrics. run_online and run_online_dynamic feed it from a span;
+// run_soak (sim/soak.h) draws its arrivals on the fly.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "core/online.h"
-#include "obs/event_log.h"
+#include "sim/admission.h"
 #include "sim/metrics.h"
 #include "sim/request_gen.h"
 
 namespace nfvm::sim {
 
-struct SimulatorOptions {
-  /// Validate every admitted tree with core::validate_pseudo_tree and throw
-  /// std::logic_error on a violation. Cheap; on by default.
-  bool validate_trees = true;
-  /// When non-null and open, one JSONL event is written per processed
-  /// request (see docs/observability.md for the schema). Not owned.
-  obs::EventLog* event_log = nullptr;
-  /// Record per-request decision provenance (core::RequestRecord): phase
-  /// timings, candidate-scan counts, cost breakdown, reject context. The
-  /// fields ride on each request event and feed `nfvm-report latency` /
-  /// `explain`. Requires NFVM_OBS; decisions are unaffected either way.
-  bool record_provenance = false;
-};
-
-/// Writes one "nfvm-events-v2" request line to `log` (no-op when null or
-/// closed). Shared by run_online, run_online_dynamic and the soak harness
-/// (sim/soak.h) so all runners emit byte-identical event records. A negative
-/// `arrival_time` omits the field (static workloads).
-void emit_request_event(obs::EventLog* log,
-                        const core::OnlineAlgorithm& algorithm,
-                        std::size_t index, const nfv::Request& request,
-                        const core::AdmissionDecision& decision,
-                        double decision_seconds, double arrival_time = -1.0);
-
 /// Runs the full sequence through `algorithm` (which carries resource state
-/// across calls). Returns the aggregated metrics.
-SimulationMetrics run_online(core::OnlineAlgorithm& algorithm,
-                             std::span<const nfv::Request> requests,
-                             const SimulatorOptions& options = {});
+/// across calls) with no departures: admitted requests keep their resources
+/// after the run. Throws std::logic_error for an invalid admitted tree.
+RunMetrics run_online(core::OnlineAlgorithm& algorithm,
+                      std::span<const nfv::Request> requests,
+                      const SimulatorOptions& options = {});
 
 /// A request with an arrival time and a holding duration - the dynamic
 /// workload model (the paper's throughput experiments keep admitted
@@ -68,34 +47,12 @@ std::vector<TimedRequest> make_poisson_workload(RequestGenerator& generator,
                                                 util::Rng& rng, std::size_t count,
                                                 const DynamicWorkloadOptions& options = {});
 
-struct DynamicMetrics {
-  std::size_t num_requests = 0;
-  std::size_t num_admitted = 0;
-  std::size_t num_rejected = 0;
-  /// Rejections bucketed by core::RejectCause; entries sum to num_rejected.
-  std::array<std::size_t, core::kNumRejectCauses> rejects_by_cause{};
-  /// Largest number of simultaneously active admitted requests.
-  std::size_t peak_active = 0;
-  /// Active count averaged over arrival instants.
-  double mean_active = 0.0;
-  util::SampleSet admitted_costs;
-
-  double acceptance_ratio() const {
-    return num_requests == 0
-               ? 0.0
-               : static_cast<double>(num_admitted) / static_cast<double>(num_requests);
-  }
-
-  std::size_t rejected_because(core::RejectCause cause) const {
-    return rejects_by_cause[static_cast<std::size_t>(cause)];
-  }
-};
-
 /// Event-driven run: before each arrival, footprints of departed requests
-/// are released; then the arrival is offered to the algorithm. Requests must
-/// be sorted by arrival_time (throws std::invalid_argument otherwise).
-DynamicMetrics run_online_dynamic(core::OnlineAlgorithm& algorithm,
-                                  std::span<const TimedRequest> requests,
-                                  const SimulatorOptions& options = {});
+/// are released; then the arrival is offered to the algorithm; the
+/// departures still pending at the end are drained. Requests must be sorted
+/// by arrival_time (throws std::invalid_argument otherwise).
+RunMetrics run_online_dynamic(core::OnlineAlgorithm& algorithm,
+                              std::span<const TimedRequest> requests,
+                              const SimulatorOptions& options = {});
 
 }  // namespace nfvm::sim

@@ -57,7 +57,7 @@ TEST(DynamicSimulator, CountsAddUp) {
   RequestGenerator gen(t, rng);
   const auto workload = make_poisson_workload(gen, rng, 120);
   core::OnlineCp algo(t);
-  const DynamicMetrics m = run_online_dynamic(algo, workload);
+  const RunMetrics m = run_online_dynamic(algo, workload);
   EXPECT_EQ(m.num_requests, 120u);
   EXPECT_EQ(m.num_admitted + m.num_rejected, 120u);
   EXPECT_EQ(m.admitted_costs.count(), m.num_admitted);
@@ -98,13 +98,13 @@ TEST(DynamicSimulator, DeparturesEnableMoreAdmissionsThanPermanentLoad) {
   const auto workload = make_poisson_workload(gen, rng, 300, opts);
 
   core::OnlineCp dynamic_algo(t);
-  const DynamicMetrics dynamic = run_online_dynamic(dynamic_algo, workload);
+  const RunMetrics dynamic = run_online_dynamic(dynamic_algo, workload);
 
   std::vector<nfv::Request> plain;
   plain.reserve(workload.size());
   for (const TimedRequest& tr : workload) plain.push_back(tr.request);
   core::OnlineCp static_algo(t);
-  const SimulationMetrics fixed = run_online(static_algo, plain);
+  const RunMetrics fixed = run_online(static_algo, plain);
 
   EXPECT_GE(dynamic.num_admitted, fixed.num_admitted);
   EXPECT_GT(dynamic.num_admitted, 250u);  // recycling keeps acceptance high
@@ -121,7 +121,7 @@ TEST(DynamicSimulator, PeakActiveBoundedByLittleLaw) {
   opts.mean_duration = 3.0;  // expected ~12 active
   const auto workload = make_poisson_workload(gen, rng, 400, opts);
   core::OnlineSp algo(t);
-  const DynamicMetrics m = run_online_dynamic(algo, workload);
+  const RunMetrics m = run_online_dynamic(algo, workload);
   EXPECT_GT(m.peak_active, 4u);
   EXPECT_LT(m.peak_active, 60u);
 }
@@ -129,7 +129,7 @@ TEST(DynamicSimulator, PeakActiveBoundedByLittleLaw) {
 TEST(DynamicSimulator, EmptyWorkload) {
   const topo::Topology t = make_topo(17);
   core::OnlineCp algo(t);
-  const DynamicMetrics m = run_online_dynamic(algo, std::vector<TimedRequest>{});
+  const RunMetrics m = run_online_dynamic(algo, std::vector<TimedRequest>{});
   EXPECT_EQ(m.num_requests, 0u);
   EXPECT_EQ(m.peak_active, 0u);
   EXPECT_DOUBLE_EQ(m.acceptance_ratio(), 0.0);
@@ -144,8 +144,8 @@ TEST(DynamicSimulator, Deterministic) {
     core::OnlineCp algo(t);
     return run_online_dynamic(algo, workload);
   };
-  const DynamicMetrics a = run();
-  const DynamicMetrics b = run();
+  const RunMetrics a = run();
+  const RunMetrics b = run();
   EXPECT_EQ(a.num_admitted, b.num_admitted);
   EXPECT_EQ(a.peak_active, b.peak_active);
 }

@@ -63,8 +63,8 @@ TEST(Integration, OnlineCpBeatsSpOnSaturatedWaxman) {
   };
   core::OnlineCp cp(topo);
   core::OnlineSp sp(topo);
-  const sim::SimulationMetrics mcp = run(cp);
-  const sim::SimulationMetrics msp = run(sp);
+  const sim::RunMetrics mcp = run(cp);
+  const sim::RunMetrics msp = run(sp);
   EXPECT_GT(mcp.num_admitted, 0u);
   EXPECT_GT(msp.num_admitted, 0u);
   // CP should not be dramatically worse; the paper reports CP >= SP. Allow
@@ -97,7 +97,7 @@ TEST(Integration, As1755OnlineScenario) {
   const topo::Topology topo = topo::make_as1755(rng);
   core::OnlineCp algo(topo);
   sim::RequestGenerator gen(topo, rng);
-  const sim::SimulationMetrics m = sim::run_online(algo, gen.sequence(100));
+  const sim::RunMetrics m = sim::run_online(algo, gen.sequence(100));
   EXPECT_GT(m.num_admitted, 10u);
   EXPECT_EQ(m.num_admitted + m.num_rejected, 100u);
 }
@@ -140,8 +140,8 @@ TEST(Integration, MixedWorkloadOnAs4755) {
   core::OnlineCp cp(topo);
   sim::RequestGenerator gen(topo, rng);
   const auto requests = gen.sequence(120);
-  const sim::SimulationMetrics a = sim::run_online(cp, requests);
-  const sim::SimulationMetrics b = sim::run_online(sp, requests);
+  const sim::RunMetrics a = sim::run_online(cp, requests);
+  const sim::RunMetrics b = sim::run_online(sp, requests);
   EXPECT_GT(a.num_admitted, 0u);
   EXPECT_GT(b.num_admitted, 0u);
 }
@@ -155,7 +155,7 @@ TEST(Integration, OnlineThroughputGrowsWithSequenceLength) {
     util::Rng rng(77);
     sim::RequestGenerator gen(topo, rng);
     core::OnlineCp algo(topo);
-    const sim::SimulationMetrics m = sim::run_online(algo, gen.sequence(count));
+    const sim::RunMetrics m = sim::run_online(algo, gen.sequence(count));
     EXPECT_GE(m.num_admitted, last);
     last = m.num_admitted;
   }
@@ -179,7 +179,7 @@ TEST(Integration, AllConstraintsTogetherOnlineRun) {
   for (sim::TimedRequest& tr : timed) tr.request.max_delay_ms = 15.0;
 
   core::OnlineCp algo(topo);
-  const sim::DynamicMetrics m = sim::run_online_dynamic(algo, timed);
+  const sim::RunMetrics m = sim::run_online_dynamic(algo, timed);
   EXPECT_GT(m.num_admitted, 0u);
   EXPECT_NEAR(algo.resources().total_allocated_bandwidth(), 0.0, 1e-6);
   EXPECT_NEAR(algo.resources().total_allocated_compute(), 0.0, 1e-6);

@@ -23,14 +23,14 @@ TEST(ObsCounters, RejectCauseCountersSumToRejected) {
   obs::Registry::global().reset_values();
 
   // A tiny overloaded topology with a long arrival sequence guarantees
-  // capacity-driven rejections (same setup as the SimulationMetrics
+  // capacity-driven rejections (same setup as the RunMetrics
   // breakdown test in test_simulator.cpp).
   util::Rng topo_rng(18);
   const topo::Topology t = topo::make_waxman(20, topo_rng);
   util::Rng rng(19);
   sim::RequestGenerator gen(t, rng);
   core::OnlineCp algo(t);
-  const sim::SimulationMetrics m = sim::run_online(algo, gen.sequence(200));
+  const sim::RunMetrics m = sim::run_online(algo, gen.sequence(200));
 
   const std::uint64_t reject_sum = counter_value("online.reject.bandwidth") +
                                    counter_value("online.reject.compute") +

@@ -1,9 +1,18 @@
-// Contract tests of the OnlineAlgorithm base class and the simulator's
-// failure-injection paths, using a controllable fake algorithm.
+// Contract tests of the OnlineAlgorithm base class and the failure-injection
+// paths of every admission driver (run_online, run_online_dynamic, run_soak,
+// the serve daemon), using a controllable fake algorithm.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/online.h"
+#include "serve/daemon.h"
+#include "serve/protocol.h"
 #include "sim/simulator.h"
+#include "sim/soak.h"
 #include "util/rng.h"
 
 namespace nfvm::core {
@@ -41,6 +50,9 @@ class FakeAlgorithm final : public OnlineAlgorithm {
 
   std::string_view name() const override { return "fake"; }
   Mode mode = Mode::kReject;
+  /// In kAdmitBogusTree mode, requests with this id or above still get a
+  /// valid tree.
+  std::uint64_t valid_from_id = std::numeric_limits<std::uint64_t>::max();
 
  protected:
   AdmissionDecision try_admit(const nfv::Request& request) override {
@@ -60,7 +72,7 @@ class FakeAlgorithm final : public OnlineAlgorithm {
     route.walk = {0, 1, 2, 3};
     route.server_index = 2;
     d.tree.routes = {route};
-    if (mode == Mode::kAdmitBogusTree) {
+    if (mode == Mode::kAdmitBogusTree && request.id < valid_from_id) {
       d.tree.routes[0].walk = {0, 3};  // non-adjacent hop
     }
     d.footprint.bandwidth = {{0, request.bandwidth_mbps}};
@@ -141,16 +153,6 @@ TEST(OnlineBase, SimulatorDetectsBogusTrees) {
   EXPECT_THROW(sim::run_online(algo, requests), std::logic_error);
 }
 
-TEST(OnlineBase, SimulatorValidationCanBeDisabled) {
-  const topo::Topology t = path_topology();
-  FakeAlgorithm algo(t);
-  algo.mode = FakeAlgorithm::Mode::kAdmitBogusTree;
-  const std::vector<nfv::Request> requests{simple_request()};
-  sim::SimulatorOptions opts;
-  opts.validate_trees = false;
-  EXPECT_NO_THROW(sim::run_online(algo, requests, opts));
-}
-
 TEST(OnlineBase, DynamicSimulatorDetectsBogusTrees) {
   const topo::Topology t = path_topology();
   FakeAlgorithm algo(t);
@@ -160,6 +162,55 @@ TEST(OnlineBase, DynamicSimulatorDetectsBogusTrees) {
   workload[0].arrival_time = 0.0;
   workload[0].duration = 1.0;
   EXPECT_THROW(sim::run_online_dynamic(algo, workload), std::logic_error);
+  // The step releases the invalid admission before it throws.
+  EXPECT_DOUBLE_EQ(algo.resources().total_allocated_bandwidth(), 0.0);
+}
+
+TEST(OnlineBase, SoakDetectsBogusTrees) {
+  const topo::Topology t = path_topology();
+  FakeAlgorithm algo(t);
+  algo.mode = FakeAlgorithm::Mode::kAdmitBogusTree;
+  util::Rng gen_rng(1);
+  util::Rng arrival_rng(2);
+  sim::RequestGenerator gen(t, gen_rng);
+  sim::SoakOptions options;
+  options.num_requests = 10;
+  EXPECT_THROW(sim::run_soak(algo, gen, arrival_rng, options), std::logic_error);
+  EXPECT_DOUBLE_EQ(algo.resources().total_allocated_bandwidth(), 0.0);
+}
+
+TEST(OnlineBase, DaemonAnswersBogusTreeWithErrorAndServesOn) {
+  const topo::Topology t = path_topology();
+  FakeAlgorithm algo(t);
+  algo.mode = FakeAlgorithm::Mode::kAdmitBogusTree;
+  algo.valid_from_id = 2;
+  std::istringstream in(serve::arrive_line(simple_request(1)) + "\n" +
+                        serve::arrive_line(simple_request(2)) + "\n" +
+                        serve::depart_line(1) + "\n" + serve::depart_line(2) +
+                        "\n{\"cmd\":\"stats\"}\n");
+  serve::IstreamLineSource source(in);
+  std::ostringstream out;
+  serve::Daemon daemon(algo, {}, serve::DaemonOptions{});
+  const serve::DaemonStats stats = daemon.run(source, out);
+
+  std::vector<std::string> replies;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) replies.push_back(line);
+  ASSERT_EQ(replies.size(), 5u);
+  EXPECT_EQ(stats.replies_emitted, 5u);
+  EXPECT_EQ(replies[0].rfind("{\"ok\":false,\"error\":\"internal\"", 0), 0u) << replies[0];
+  EXPECT_NE(replies[0].find("invalid pseudo-multicast tree"), std::string::npos);
+  EXPECT_EQ(replies[1].rfind("{\"ok\":true", 0), 0u) << replies[1];
+  EXPECT_NE(replies[1].find("\"admitted\":true"), std::string::npos) << replies[1];
+  // The failed arrival holds nothing, so its depart is a no-op ack.
+  EXPECT_NE(replies[2].find("\"released\":false"), std::string::npos) << replies[2];
+  EXPECT_NE(replies[3].find("\"released\":true"), std::string::npos) << replies[3];
+  EXPECT_EQ(replies[4].rfind("{\"ok\":true,\"cmd\":\"stats\"", 0), 0u) << replies[4];
+  EXPECT_EQ(stats.active, 0u);
+  for (graph::EdgeId e = 0; e < t.graph.num_edges(); ++e) {
+    EXPECT_DOUBLE_EQ(algo.resources().residual_bandwidth(e), t.link_bandwidth[e]);
+  }
+  EXPECT_DOUBLE_EQ(algo.resources().residual_compute(2), t.server_compute[2]);
 }
 
 }  // namespace

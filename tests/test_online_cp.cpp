@@ -246,7 +246,7 @@ TEST(OnlineCp, SequenceOnRandomTopologyAllTreesValid) {
   OnlineCp algo(t);
   sim::RequestGenerator gen(t, rng);
   const auto requests = gen.sequence(60);
-  const sim::SimulationMetrics m = sim::run_online(algo, requests);
+  const sim::RunMetrics m = sim::run_online(algo, requests);
   EXPECT_EQ(m.num_requests, 60u);
   EXPECT_GT(m.num_admitted, 0u);
   EXPECT_EQ(m.num_admitted + m.num_rejected, 60u);

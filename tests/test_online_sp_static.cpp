@@ -131,8 +131,8 @@ TEST(OnlineSpStatic, NeverBeatsAdaptiveSp) {
   const auto requests = gen.sequence(200);
   OnlineSp adaptive(t);
   OnlineSpStatic stat(t);
-  const sim::SimulationMetrics ma = sim::run_online(adaptive, requests);
-  const sim::SimulationMetrics ms = sim::run_online(stat, requests);
+  const sim::RunMetrics ma = sim::run_online(adaptive, requests);
+  const sim::RunMetrics ms = sim::run_online(stat, requests);
   EXPECT_GE(ma.num_admitted, ms.num_admitted);
 }
 

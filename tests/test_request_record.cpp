@@ -160,7 +160,7 @@ TEST(RequestRecord, SimulatorPlumbsProvenanceThroughOptions) {
   OnlineCp algo(topo);
   sim::SimulatorOptions opts;
   opts.record_provenance = true;
-  const sim::SimulationMetrics m = sim::run_online(algo, requests, opts);
+  const sim::RunMetrics m = sim::run_online(algo, requests, opts);
   EXPECT_EQ(m.num_requests, requests.size());
   // Phase sums were accumulated from the per-request records.
   EXPECT_GT(m.phase_eval_us, 0.0);

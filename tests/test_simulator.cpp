@@ -26,7 +26,7 @@ TEST(Simulator, CountsAddUp) {
   RequestGenerator gen(t, rng);
   const auto requests = gen.sequence(40);
   core::OnlineCp algo(t);
-  const SimulationMetrics m = run_online(algo, requests);
+  const RunMetrics m = run_online(algo, requests);
   EXPECT_EQ(m.num_requests, 40u);
   EXPECT_EQ(m.num_admitted + m.num_rejected, 40u);
   EXPECT_EQ(m.decisions.size(), 40u);
@@ -39,7 +39,7 @@ TEST(Simulator, CumulativeSeriesIsMonotone) {
   util::Rng rng(4);
   RequestGenerator gen(t, rng);
   core::OnlineSp algo(t);
-  const SimulationMetrics m = run_online(algo, gen.sequence(60));
+  const RunMetrics m = run_online(algo, gen.sequence(60));
   std::size_t last = 0;
   for (std::size_t i = 0; i < m.cumulative_admitted.size(); ++i) {
     EXPECT_GE(m.cumulative_admitted[i], last);
@@ -54,7 +54,7 @@ TEST(Simulator, DecisionsMatchCumulative) {
   util::Rng rng(6);
   RequestGenerator gen(t, rng);
   core::OnlineCp algo(t);
-  const SimulationMetrics m = run_online(algo, gen.sequence(50));
+  const RunMetrics m = run_online(algo, gen.sequence(50));
   std::size_t acc = 0;
   for (std::size_t i = 0; i < m.decisions.size(); ++i) {
     acc += m.decisions[i] ? 1 : 0;
@@ -67,10 +67,10 @@ TEST(Simulator, AcceptanceRatio) {
   util::Rng rng(8);
   RequestGenerator gen(t, rng);
   core::OnlineCp algo(t);
-  const SimulationMetrics m = run_online(algo, gen.sequence(30));
+  const RunMetrics m = run_online(algo, gen.sequence(30));
   EXPECT_NEAR(m.acceptance_ratio(),
               static_cast<double>(m.num_admitted) / 30.0, 1e-12);
-  const SimulationMetrics empty;
+  const RunMetrics empty;
   EXPECT_DOUBLE_EQ(empty.acceptance_ratio(), 0.0);
 }
 
@@ -79,9 +79,9 @@ TEST(Simulator, AdmittedCostsRecorded) {
   util::Rng rng(10);
   RequestGenerator gen(t, rng);
   core::OnlineCp algo(t);
-  const SimulationMetrics m = run_online(algo, gen.sequence(30));
+  const RunMetrics m = run_online(algo, gen.sequence(30));
   EXPECT_EQ(m.admitted_costs.count(), m.num_admitted);
-  EXPECT_EQ(m.decision_seconds.count(), 30u);
+  EXPECT_EQ(m.decision_us.count(), 30u);
 }
 
 TEST(Simulator, UtilizationsWithinUnitInterval) {
@@ -89,7 +89,7 @@ TEST(Simulator, UtilizationsWithinUnitInterval) {
   util::Rng rng(12);
   RequestGenerator gen(t, rng);
   core::OnlineSp algo(t);
-  const SimulationMetrics m = run_online(algo, gen.sequence(80));
+  const RunMetrics m = run_online(algo, gen.sequence(80));
   EXPECT_GE(m.final_bandwidth_utilization, 0.0);
   EXPECT_LE(m.final_bandwidth_utilization, 1.0);
   EXPECT_GE(m.final_compute_utilization, 0.0);
@@ -100,7 +100,7 @@ TEST(Simulator, UtilizationsWithinUnitInterval) {
 TEST(Simulator, EmptySequence) {
   const topo::Topology t = make_topo(13);
   core::OnlineCp algo(t);
-  const SimulationMetrics m = run_online(algo, std::vector<nfv::Request>{});
+  const RunMetrics m = run_online(algo, std::vector<nfv::Request>{});
   EXPECT_EQ(m.num_requests, 0u);
   EXPECT_EQ(m.num_admitted, 0u);
   EXPECT_DOUBLE_EQ(m.final_bandwidth_utilization, 0.0);
@@ -124,7 +124,7 @@ TEST(Simulator, RejectionBreakdownSumsToRejected) {
   util::Rng rng(19);
   RequestGenerator gen(t, rng);
   core::OnlineCp algo(t);
-  const SimulationMetrics m = run_online(algo, gen.sequence(200));
+  const RunMetrics m = run_online(algo, gen.sequence(200));
   std::size_t total = 0;
   for (const std::size_t n : m.rejects_by_cause) total += n;
   EXPECT_EQ(total, m.num_rejected);
@@ -143,7 +143,7 @@ TEST(Simulator, EventLogRecordsEveryRequest) {
   ASSERT_TRUE(events.open(path));
   SimulatorOptions opts;
   opts.event_log = &events;
-  const SimulationMetrics m = run_online(algo, gen.sequence(25), opts);
+  const RunMetrics m = run_online(algo, gen.sequence(25), opts);
   events.close();
   EXPECT_EQ(m.num_requests, 25u);
   std::ifstream in(path);
@@ -161,8 +161,8 @@ TEST(Simulator, SameSeedSameOutcome) {
     core::OnlineCp algo(t);
     return run_online(algo, gen.sequence(40));
   };
-  const SimulationMetrics a = run();
-  const SimulationMetrics b = run();
+  const RunMetrics a = run();
+  const RunMetrics b = run();
   EXPECT_EQ(a.num_admitted, b.num_admitted);
   EXPECT_EQ(a.decisions, b.decisions);
 }

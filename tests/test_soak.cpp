@@ -2,6 +2,7 @@
 // run-to-run determinism (the property the CI obs-smoke byte-diff relies on).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
 #include <vector>
 
@@ -26,8 +27,8 @@ SoakOptions small_soak() {
   return options;
 }
 
-SoakMetrics run(const topo::Topology& t, const SoakOptions& options,
-                std::uint64_t seed) {
+RunMetrics run(const topo::Topology& t, const SoakOptions& options,
+               std::uint64_t seed) {
   core::OnlineCp algo(t);
   util::Rng gen_rng(seed);
   util::Rng arrival_rng(seed + 1);
@@ -37,13 +38,16 @@ SoakMetrics run(const topo::Topology& t, const SoakOptions& options,
 
 TEST(Soak, CountsAddUp) {
   const topo::Topology t = make_topo(21);
-  const SoakMetrics m = run(t, small_soak(), 5);
+  const RunMetrics m = run(t, small_soak(), 5);
   EXPECT_EQ(m.num_requests, 300u);
   EXPECT_EQ(m.num_admitted + m.num_rejected, 300u);
   std::size_t by_cause = 0;
   for (const std::size_t c : m.rejects_by_cause) by_cause += c;
   EXPECT_EQ(by_cause, m.num_rejected);
   EXPECT_EQ(m.decision_us.count(), 300u);
+  // A soak keeps its memory flat: no per-request series.
+  EXPECT_TRUE(m.decisions.empty());
+  EXPECT_TRUE(m.cumulative_admitted.empty());
   EXPECT_LE(m.mean_active, static_cast<double>(m.peak_active));
   EXPECT_GT(m.sim_duration, 0.0);
   EXPECT_GT(m.requests_per_s, 0.0);
@@ -66,8 +70,8 @@ TEST(Soak, ResourcesFullyReleasedAtEnd) {
 
 TEST(Soak, SameSeedsSameOutcome) {
   const topo::Topology t = make_topo(25);
-  const SoakMetrics a = run(t, small_soak(), 9);
-  const SoakMetrics b = run(t, small_soak(), 9);
+  const RunMetrics a = run(t, small_soak(), 9);
+  const RunMetrics b = run(t, small_soak(), 9);
   EXPECT_EQ(a.num_admitted, b.num_admitted);
   EXPECT_EQ(a.rejects_by_cause, b.rejects_by_cause);
   EXPECT_DOUBLE_EQ(a.sim_duration, b.sim_duration);
@@ -79,7 +83,7 @@ TEST(Soak, DiurnalModulationStillCountsEveryArrival) {
   SoakOptions options = small_soak();
   options.diurnal_amplitude = 0.8;
   options.diurnal_period = 10.0;
-  const SoakMetrics m = run(t, options, 11);
+  const RunMetrics m = run(t, options, 11);
   EXPECT_EQ(m.num_requests, 300u);
   EXPECT_EQ(m.num_admitted + m.num_rejected, 300u);
 }
@@ -92,9 +96,36 @@ TEST(Soak, ProgressCallbackFires) {
   std::vector<std::size_t> ticks;
   options.on_progress = [&ticks](std::size_t n) { ticks.push_back(n); };
   run(t, options, 13);
-  ASSERT_FALSE(ticks.empty());
-  EXPECT_EQ(ticks.back(), 100u);
-  for (std::size_t i = 1; i < ticks.size(); ++i) EXPECT_GT(ticks[i], ticks[i - 1]);
+  EXPECT_EQ(ticks, (std::vector<std::size_t>{25, 50, 75, 100}));
+  // A run length off the period still reports its end once.
+  ticks.clear();
+  options.num_requests = 90;
+  run(t, options, 13);
+  EXPECT_EQ(ticks, (std::vector<std::size_t>{25, 50, 75, 90}));
+}
+
+TEST(Soak, StopFlagEndsRunCleanly) {
+  const topo::Topology t = make_topo(30);
+  core::OnlineCp algo(t);
+  util::Rng gen_rng(17);
+  util::Rng arrival_rng(18);
+  RequestGenerator gen(t, gen_rng);
+  SoakOptions options = small_soak();
+  std::atomic<bool> stop{false};
+  options.stop = &stop;
+  options.progress_every = 25;
+  std::vector<std::size_t> ticks;
+  options.on_progress = [&](std::size_t n) {
+    ticks.push_back(n);
+    if (n == 50) stop.store(true);
+  };
+  const RunMetrics m = run_soak(algo, gen, arrival_rng, options);
+  EXPECT_FALSE(m.clean_shutdown);
+  EXPECT_EQ(m.num_requests, 50u);
+  EXPECT_EQ(m.num_admitted + m.num_rejected, 50u);
+  EXPECT_EQ(ticks, (std::vector<std::size_t>{25, 50}));
+  EXPECT_NEAR(algo.resources().total_allocated_bandwidth(), 0.0, 1e-6);
+  EXPECT_TRUE(run(t, small_soak(), 17).clean_shutdown);
 }
 
 TEST(Soak, RejectsBadOptions) {

@@ -157,7 +157,7 @@ TEST(TableCapacity, ThroughputScalesWithTableSize) {
     util::Rng workload(9);
     sim::RequestGenerator gen(t, workload);
     OnlineCp algo(t);
-    const sim::SimulationMetrics m = sim::run_online(algo, gen.sequence(120));
+    const sim::RunMetrics m = sim::run_online(algo, gen.sequence(120));
     EXPECT_GE(m.num_admitted, last);
     last = m.num_admitted;
   }

@@ -627,7 +627,7 @@ int main(int argc, char** argv) {
     };
     obs::log_info("soak run: " + std::string(algo->name()) + ", " +
                   std::to_string(opts.soak) + " requests");
-    const sim::SoakMetrics m = sim::run_soak(*algo, gen, workload, soak);
+    const sim::RunMetrics m = sim::run_soak(*algo, gen, workload, soak);
     ctx.clean_shutdown = m.clean_shutdown;
     if (!m.clean_shutdown) {
       std::cerr << "# soak interrupted by signal after " << m.num_requests
@@ -669,40 +669,34 @@ int main(int argc, char** argv) {
     auto algo = build_algorithm(name, topo);
     obs::log_info("admission run: " + std::string(algo->name()) + ", " +
                   std::to_string(opts.requests) + " requests");
-    const auto reject_cells = [&table](const auto& m) {
-      table.add(m.rejected_because(core::RejectCause::kBandwidth))
-          .add(m.rejected_because(core::RejectCause::kCompute))
-          .add(m.rejected_because(core::RejectCause::kThreshold))
-          .add(m.rejected_because(core::RejectCause::kDelay))
-          .add(m.rejected_because(core::RejectCause::kOther) +
-               m.rejected_because(core::RejectCause::kNone));
-    };
+    sim::RunMetrics m;
     if (opts.dynamic) {
       sim::DynamicWorkloadOptions dyn;
       dyn.arrival_rate = opts.arrival_rate;
       dyn.mean_duration = opts.mean_duration;
       auto requests = sim::make_poisson_workload(gen, workload, opts.requests, dyn);
       for (auto& tr : requests) tr.request.max_delay_ms = opts.max_delay_ms;
-      const sim::DynamicMetrics m = sim::run_online_dynamic(*algo, requests, sim_opts);
-      table.begin_row()
-          .add(std::string(algo->name()))
-          .add(m.num_requests)
-          .add(m.num_admitted)
-          .add(m.acceptance_ratio(), 3)
-          .add(m.admitted_costs.empty() ? 0.0 : m.admitted_costs.mean(), 3);
-      reject_cells(m);
-      table.add(m.peak_active);
+      m = sim::run_online_dynamic(*algo, requests, sim_opts);
     } else {
       auto requests = gen.sequence(opts.requests);
       for (auto& r : requests) r.max_delay_ms = opts.max_delay_ms;
-      const sim::SimulationMetrics m = sim::run_online(*algo, requests, sim_opts);
-      table.begin_row()
-          .add(std::string(algo->name()))
-          .add(m.num_requests)
-          .add(m.num_admitted)
-          .add(m.acceptance_ratio(), 3)
-          .add(m.admitted_costs.empty() ? 0.0 : m.admitted_costs.mean(), 3);
-      reject_cells(m);
+      m = sim::run_online(*algo, requests, sim_opts);
+    }
+    table.begin_row()
+        .add(std::string(algo->name()))
+        .add(m.num_requests)
+        .add(m.num_admitted)
+        .add(m.acceptance_ratio(), 3)
+        .add(m.admitted_costs.mean(), 3)
+        .add(m.rejected_because(core::RejectCause::kBandwidth))
+        .add(m.rejected_because(core::RejectCause::kCompute))
+        .add(m.rejected_because(core::RejectCause::kThreshold))
+        .add(m.rejected_because(core::RejectCause::kDelay))
+        .add(m.rejected_because(core::RejectCause::kOther) +
+             m.rejected_because(core::RejectCause::kNone));
+    if (opts.dynamic) {
+      table.add(m.peak_active);
+    } else {
       table.add(std::string("-"));
     }
   }
