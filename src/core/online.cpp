@@ -60,17 +60,12 @@ AdmissionDecision OnlineAlgorithm::process(const nfv::Request& request) {
     // try_admit must hand back a footprint that fits; allocate() re-checks
     // and throws on a contract violation rather than over-committing.
     state_.allocate(decision.footprint);
-#if NFVM_OBS
-    if (record_provenance_) {
-      const util::Stopwatch patch_watch;
-      after_allocate(decision.footprint);
-      record.view_patch_us = patch_watch.elapsed_us();
-    } else {
-      after_allocate(decision.footprint);
+    {
+      NFVM_OBS_ONLY(const util::Stopwatch patch_watch;)
+      NFVM_SPAN("online/view_patch");
+      after_change(decision.footprint);
+      NFVM_OBS_ONLY(if (record_provenance_) record.view_patch_us = patch_watch.elapsed_us();)
     }
-#else
-    after_allocate(decision.footprint);
-#endif
     ++num_admitted_;
     decision.reject_cause = RejectCause::kNone;
     NFVM_COUNTER_INC("online.admitted");
@@ -114,7 +109,8 @@ AdmissionDecision OnlineAlgorithm::process(const nfv::Request& request) {
 
 void OnlineAlgorithm::release(const nfv::Footprint& footprint) {
   state_.release(footprint);
-  after_release(footprint);
+  NFVM_SPAN("online/view_release");
+  after_change(footprint);
 }
 
 void OnlineAlgorithm::restore_resources(const nfv::ResourceResiduals& residuals) {
@@ -122,8 +118,7 @@ void OnlineAlgorithm::restore_resources(const nfv::ResourceResiduals& residuals)
   after_restore();
 }
 
-void OnlineAlgorithm::after_allocate(const nfv::Footprint& /*footprint*/) {}
-void OnlineAlgorithm::after_release(const nfv::Footprint& /*footprint*/) {}
+void OnlineAlgorithm::after_change(const nfv::Footprint& /*footprint*/) {}
 void OnlineAlgorithm::after_restore() {}
 
 }  // namespace nfvm::core

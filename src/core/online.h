@@ -154,12 +154,12 @@ class OnlineAlgorithm {
   /// Decide without mutating resource state; `process` handles allocation.
   virtual AdmissionDecision try_admit(const nfv::Request& request) = 0;
 
-  /// Called by process() right after an admitted footprint was allocated,
-  /// and by release() right after a footprint was returned. Default: no-op.
-  /// Algorithms maintaining incremental state derived from the residuals
-  /// (e.g. OnlineCp's weighted working view) patch it here.
-  virtual void after_allocate(const nfv::Footprint& footprint);
-  virtual void after_release(const nfv::Footprint& footprint);
+  /// Called by process() right after an admitted footprint was allocated
+  /// (span `online/view_patch`), and by release() right after a footprint
+  /// was returned (span `online/view_release`). Default: no-op. Algorithms
+  /// maintaining incremental state derived from the residuals (OnlineCp's
+  /// and OnlineSp's weighted working view) patch it here.
+  virtual void after_change(const nfv::Footprint& footprint);
 
   /// Called by restore_resources() after the residual vectors were
   /// installed. Algorithms maintaining residual-derived state rebuild it

@@ -43,13 +43,7 @@ double OnlineCp::server_weight(graph::VertexId v) const {
   return model_.server_weight(v, state_);
 }
 
-void OnlineCp::after_allocate(const nfv::Footprint& footprint) {
-  view_.apply_allocate(footprint);
-}
-
-void OnlineCp::after_release(const nfv::Footprint& footprint) {
-  view_.apply_release(footprint);
-}
+void OnlineCp::after_change(const nfv::Footprint& footprint) { view_.patch(footprint); }
 
 void OnlineCp::after_restore() {
   // Every weight is a pure function of its residual, so a full rebuild from

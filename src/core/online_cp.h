@@ -52,8 +52,7 @@ class OnlineCp final : public OnlineAlgorithm {
 
  protected:
   AdmissionDecision try_admit(const nfv::Request& request) override;
-  void after_allocate(const nfv::Footprint& footprint) override;
-  void after_release(const nfv::Footprint& footprint) override;
+  void after_change(const nfv::Footprint& footprint) override;
   void after_restore() override;
 
  private:

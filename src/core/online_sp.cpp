@@ -19,13 +19,7 @@ OnlineSp::OnlineSp(const topo::Topology& topo)
     : OnlineAlgorithm(topo),
       view_(topo, [this](graph::EdgeId e) { return topo_->graph.weight(e); }) {}
 
-void OnlineSp::after_allocate(const nfv::Footprint& footprint) {
-  view_.apply_allocate(footprint);
-}
-
-void OnlineSp::after_release(const nfv::Footprint& footprint) {
-  view_.apply_release(footprint);
-}
+void OnlineSp::after_change(const nfv::Footprint& footprint) { view_.patch(footprint); }
 
 void OnlineSp::after_restore() {
   // Residuals changed wholesale: reset the view (and drop its tree cache)

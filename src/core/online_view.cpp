@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "graph/dijkstra.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -32,11 +31,14 @@ void OnlineWeightedView::rebuild() {
     if (view_.weight(e) != w) view_.set_weight(e, w);
   }
   update_min_weight();
-  clear_cache();
+  lru_.clear();
+  index_.clear();
+  change_log_.clear();
+  log_begin_ = log_end_;
   NFVM_COUNTER_INC("core.online.view_rebuilds");
 }
 
-std::size_t OnlineWeightedView::patch(const nfv::Footprint& footprint) {
+void OnlineWeightedView::patch(const nfv::Footprint& footprint) {
   std::size_t changed = 0;
   for (const auto& [e, amount] : footprint.bandwidth) {
     const double w = edge_weight_(e);
@@ -57,29 +59,6 @@ std::size_t OnlineWeightedView::patch(const nfv::Footprint& footprint) {
   if (changed > 0) update_min_weight();
   ++patches_applied_;
   NFVM_COUNTER_INC("core.online.view_patches");
-  return changed;
-}
-
-void OnlineWeightedView::apply_allocate(const nfv::Footprint& footprint) {
-  NFVM_SPAN("online/view_patch");
-  const std::size_t changed = patch(footprint);
-  churn_ewma_ += 0.125 * (static_cast<double>(changed) - churn_ewma_);
-  // Rebuild mode bypasses the cache entirely; keep it empty so a later flip
-  // back to incremental starts cold.
-  if (!policy_incremental()) clear_cache();
-}
-
-void OnlineWeightedView::apply_release(const nfv::Footprint& footprint) {
-  NFVM_SPAN("online/view_release");
-  patch(footprint);
-}
-
-bool OnlineWeightedView::policy_incremental() const noexcept {
-  if (policy_ == ViewPolicy::kForceIncremental) return true;
-  if (policy_ == ViewPolicy::kForceRebuild) return false;
-  const std::size_t m = view_.num_edges();
-  if (m < kPolicyMinEdges) return false;
-  return churn_ewma_ <= kPolicyMaxChurnFraction * static_cast<double>(m);
 }
 
 void OnlineWeightedView::build_eligibility_mask(const nfv::ResourceState& state,
@@ -97,13 +76,6 @@ void OnlineWeightedView::build_eligibility_mask(const nfv::ResourceState& state,
 void OnlineWeightedView::update_min_weight() noexcept {
   min_weight_ = std::numeric_limits<double>::infinity();
   for (const graph::Edge& ed : view_.edges()) min_weight_ = std::min(min_weight_, ed.weight);
-}
-
-void OnlineWeightedView::clear_cache() noexcept {
-  lru_.clear();
-  index_.clear();
-  change_log_.clear();
-  log_begin_ = log_end_;
 }
 
 bool OnlineWeightedView::changed_since(const CachedTree& cached, std::size_t max_logged,
@@ -145,7 +117,6 @@ OnlineWeightedView::ServedTree OnlineWeightedView::tree_from(
                       false, false};
   };
   const bool is_row = !row_targets.empty();
-  if (is_row && !policy_incremental()) return row();  // rebuild mode: no cache
   const auto it = index_.find(source);
   if (it == index_.end()) {
     NFVM_COUNTER_INC("graph.spcache.misses");
@@ -243,31 +214,14 @@ OnlineWeightedView::trees_for(const nfv::ResourceState& state,
     }
   }
   build_eligibility_mask(state, b);
-  if (!policy_incremental()) {
-    // Rebuild mode: no cache, one batched masked SSSP for every distinct
-    // source. Bit-identical to the incremental path because a served
-    // cached tree IS a fresh filtered Dijkstra (repair invariant).
-    NFVM_COUNTER_INC("core.online.view_policy_rebuild");
-    std::vector<graph::VertexId> distinct_sources;
-    distinct_sources.reserve(distinct.size());
-    for (std::size_t i : distinct) distinct_sources.push_back(sources[i]);
-    std::vector<graph::ShortestPaths> batch =
-        graph::batch_dijkstra(view_, distinct_sources, mask_);
-    for (std::size_t j = 0; j < distinct.size(); ++j) {
-      trees[distinct[j]] =
-          std::make_shared<const graph::ShortestPaths>(std::move(batch[j]));
-    }
-  } else {
-    NFVM_COUNTER_INC("core.online.view_policy_incremental");
-    std::vector<ServedTree> served(distinct.size());
-    util::ThreadPool::global().parallel_for(distinct.size(), [&](std::size_t j) {
-      served[j] = tree_from(sources[distinct[j]]);
-    });
-    // Commit in `sources` order so cache state is thread-count independent.
-    for (std::size_t j = 0; j < distinct.size(); ++j) {
-      trees[distinct[j]] = served[j].tree;
-      commit(sources[distinct[j]], std::move(served[j]));
-    }
+  std::vector<ServedTree> served(distinct.size());
+  util::ThreadPool::global().parallel_for(distinct.size(), [&](std::size_t j) {
+    served[j] = tree_from(sources[distinct[j]]);
+  });
+  // Commit in `sources` order so cache state is thread-count independent.
+  for (std::size_t j = 0; j < distinct.size(); ++j) {
+    trees[distinct[j]] = served[j].tree;
+    commit(sources[distinct[j]], std::move(served[j]));
   }
   for (std::size_t i = 0; i < sources.size(); ++i) {
     const auto first = static_cast<std::size_t>(

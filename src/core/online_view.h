@@ -21,22 +21,11 @@
 // that changed to graph::SpEngine::repair_shortest_paths, which returns the
 // tree a fresh filtered Dijkstra would build: unchanged, repaired where the
 // changes reach, or recomputed when its settle-order guard or size limit
-// fails. Allocations and releases are handled alike (a release lowers
-// weights, which the repair's relaxation pass covers); no patch drops the
-// cache, only a lookup that finds its tree too stale to repair.
-//
-// Adaptive policy: the cache only pays for itself when the Dijkstra work it
-// saves exceeds the bookkeeping it adds (the per-lookup diff and repair are
-// O(|E| + |V|) plus the repaired region). On small graphs (GEANT: 61 links)
-// the bookkeeping loses; on large Waxman configs it wins. trees_for
-// therefore measures graph size against patch churn (EWMA of edges patched
-// per admission) and below the threshold runs in REBUILD mode: weights are
-// still patched in place, but every tree is computed fresh via one batched
-// masked SSSP and the cache is bypassed and kept empty. Both modes produce
-// bit-identical trees (a served cached tree equals a fresh filtered
-// Dijkstra by the repair invariant), so the policy can never change a
-// decision — only what it costs. Counted by
-// core.online.view_policy_{incremental,rebuild}.
+// fails. Allocations and releases are one patch (a release lowers weights,
+// which the repair's relaxation pass covers); no patch drops the cache,
+// only a lookup that finds its tree too stale to repair. A served tree
+// therefore always equals a fresh filtered Dijkstra, and the cache can
+// change what a decision costs, never the decision.
 #pragma once
 
 #include <cstdint>
@@ -53,11 +42,6 @@
 #include "topology/topology.h"
 
 namespace nfvm::core {
-
-/// Adaptive-policy override. kAdaptive (the default) picks per call from
-/// graph size and patch churn; the force modes exist for tests that pin the
-/// cache machinery and for benchmarks that measure one mode in isolation.
-enum class ViewPolicy { kAdaptive, kForceIncremental, kForceRebuild };
 
 class OnlineWeightedView {
  public:
@@ -77,21 +61,17 @@ class OnlineWeightedView {
   /// (`core.online.view_rebuilds`). Constructor-equivalent reset.
   void rebuild();
 
-  /// Patches the weights of the footprint's edges after an admission and
-  /// logs the changed ones (`core.online.view_patches`).
-  void apply_allocate(const nfv::Footprint& footprint);
-
-  /// Patches the footprint's edge weights after a release and logs the
-  /// changed ones (`core.online.view_patches`); cached trees are repaired
-  /// on their next lookup like after an admission.
-  void apply_release(const nfv::Footprint& footprint);
+  /// Re-weights the footprint's edges after its resources were allocated or
+  /// released and logs the ones whose weight moved
+  /// (`core.online.view_patches`); cached trees they reach are repaired on
+  /// their next lookup.
+  void patch(const nfv::Footprint& footprint);
 
   /// Shortest-path trees from each of `sources` on the view, restricted to
   /// edges eligible at bandwidth threshold `b` (nfv::edge_eligible against
-  /// `state`). In incremental mode every distinct source goes through
-  /// tree_from in parallel on util::ThreadPool::global() and is committed
-  /// in `sources` order, so results and cache state are thread-count
-  /// independent. Each distinct source is looked up or computed once per
+  /// `state`). Every distinct source goes through tree_from in parallel on
+  /// util::ThreadPool::global() and is committed in `sources` order, so
+  /// results and cache state are thread-count independent. Each distinct source is looked up or computed once per
   /// call; repeated slots share that one tree.
   std::vector<std::shared_ptr<const graph::ShortestPaths>> trees_for(
       const nfv::ResourceState& state, std::span<const graph::VertexId> sources,
@@ -128,12 +108,12 @@ class OnlineWeightedView {
   /// busier source better. A tree computed on a miss is cached. With
   /// `row_targets` the caller needs only a KMB row to those vertices
   /// (graph::KmbRowFn): where a full tree would have to be computed from
-  /// scratch and cannot pay for itself — in rebuild mode, for a stale entry
-  /// beyond that limit, or on a miss while some weight is zero — the
-  /// early-exit run SpEngine::shortest_paths_to is served instead,
-  /// uncounted in rebuild mode. Runs on the calling thread's engine and
-  /// does not touch the cache, so concurrent calls are safe; commit() the
-  /// result afterwards, sequentially and in a fixed order, to keep it.
+  /// scratch and cannot pay for itself — for a stale entry beyond that
+  /// limit, or while some weight is zero (no tree is then repairable) — the
+  /// early-exit run SpEngine::shortest_paths_to is served instead. Runs on
+  /// the calling thread's engine and does not touch the cache, so
+  /// concurrent calls are safe; commit() the result afterwards,
+  /// sequentially and in a fixed order, to keep it.
   ServedTree tree_from(graph::VertexId source,
                        std::span<const graph::VertexId> row_targets = {}) const;
 
@@ -154,30 +134,14 @@ class OnlineWeightedView {
 
   /// Cached shortest-path trees currently held.
   std::size_t cached_trees() const noexcept { return index_.size(); }
-  /// Patched-weight applications since construction (apply_allocate and
-  /// apply_release calls).
+  /// patch() calls since construction.
   std::uint64_t patches_applied() const noexcept { return patches_applied_; }
 
-  /// True when the adaptive policy currently selects the incremental cache
-  /// (performance state only — the decision stream is identical either way).
-  bool policy_incremental() const noexcept;
-
-  /// Pins or restores the adaptive policy (performance state only).
-  void set_policy(ViewPolicy policy) noexcept { policy_ = policy; }
-
-  /// Calibrated policy floor: below this many edges the cache bookkeeping
-  /// costs more than the Dijkstras it saves (GEANT's 61 links fall under,
-  /// the smallest Waxman config's ~200 stay over).
-  static constexpr std::size_t kPolicyMinEdges = 128;
   /// tree_from repairs a cached tree only while at most this many changed
   /// edges per vertex affect it: a repair's cost grows with them and passes
   /// a fresh run's (or, for a row, the early-exit run's) at about |V| / 10
   /// of them on the Waxman configs.
   static constexpr double kRepairMaxAffecting = 0.1;
-  /// If a typical admission patches more than this fraction of all edges,
-  /// most cached trees need large repairs every request and caching loses
-  /// regardless of size.
-  static constexpr double kPolicyMaxChurnFraction = 0.5;
 
  private:
   struct CachedTree {
@@ -196,16 +160,12 @@ class OnlineWeightedView {
   /// O(|E|) sweep per trees_for call replaces a per-scanned-edge
   /// std::function call in every Dijkstra.
   void build_eligibility_mask(const nfv::ResourceState& state, double b);
-  /// Re-weights the footprint's edges and logs the ones that moved;
-  /// returns how many moved.
-  std::size_t patch(const nfv::Footprint& footprint);
   /// Fills `changed` with the edges eligible before or now whose weight or
   /// eligibility changed since `cached` was exact; false when more than
   /// `max_logged` weight changes were logged since, or the change log no
   /// longer reaches back that far.
   bool changed_since(const CachedTree& cached, std::size_t max_logged,
                      std::vector<graph::EdgeId>& changed) const;
-  void clear_cache() noexcept;
   void update_min_weight() noexcept;
   /// False while some edge weight is zero: no tree is then repairable
   /// (graph::SpEngine::dist_id_ordered fails).
@@ -228,9 +188,6 @@ class OnlineWeightedView {
   std::uint64_t log_end_ = 0;
   /// Smallest edge weight of view_, refreshed by every patch.
   double min_weight_ = 0.0;
-  /// EWMA of edges whose weight actually changed per apply_allocate.
-  double churn_ewma_ = 0.0;
-  ViewPolicy policy_ = ViewPolicy::kAdaptive;
   std::uint64_t patches_applied_ = 0;
 };
 

@@ -14,38 +14,9 @@ namespace nfvm::obs {
 
 double estimate_quantile(const std::vector<HistogramBucket>& buckets, double q,
                          double min_value, double max_value) {
-  std::uint64_t total = 0;
-  for (const HistogramBucket& b : buckets) total += b.count;
-  if (total == 0) return std::numeric_limits<double>::quiet_NaN();
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-
-  const double target = q * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i].count == 0) continue;
-    const double next = cumulative + static_cast<double>(buckets[i].count);
-    if (next < target && i + 1 < buckets.size()) {
-      cumulative = next;
-      continue;
-    }
-    double lower = i == 0 ? 0.0 : buckets[i - 1].le;
-    double upper = buckets[i].le;
-    if (!std::isfinite(upper)) {
-      // Overflow bucket: the observed max is the only finite upper bound
-      // available; without it fall back to doubling (the log2 growth rate).
-      upper = std::isfinite(max_value) ? max_value : lower * 2.0;
-    }
-    // A finite min/max tightens the end buckets (all samples in the first
-    // occupied bucket are >= min, in the last <= max).
-    if (std::isfinite(min_value)) lower = std::max(lower, std::min(min_value, upper));
-    if (std::isfinite(max_value)) upper = std::min(upper, max_value);
-    const double fraction =
-        std::max(0.0, target - cumulative) / static_cast<double>(buckets[i].count);
-    const double estimate = lower + fraction * (upper - lower);
-    return std::min(std::max(estimate, lower), upper);
-  }
-  return std::numeric_limits<double>::quiet_NaN();  // unreachable: total > 0
+  return estimate_quantile(
+      buckets.size(), [&](std::size_t i) { return buckets[i].count; },
+      [&](std::size_t i) { return buckets[i].le; }, q, min_value, max_value);
 }
 
 // --- Registry ---------------------------------------------------------------

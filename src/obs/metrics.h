@@ -15,10 +15,13 @@
 //     them directly still builds.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -69,17 +72,64 @@ struct HistogramBucket {
 };
 
 /// Estimates the q-quantile (q in [0, 1]) of a bucketed histogram by linear
-/// interpolation inside the bucket containing the target rank.
-/// `buckets` must be ordered by ascending `le`; the lower bound of bucket i
-/// is buckets[i-1].le (0 for the first). When known, `min_value`/`max_value`
-/// tighten the first/last occupied bucket and clamp the result; pass
-/// +inf/-inf (the empty-histogram defaults) to skip. Returns NaN when every
-/// bucket is empty.
+/// interpolation inside the bucket containing the target rank. Bucket i of
+/// `num_buckets` holds `weight_of(i)` — an integer sample count, or a
+/// decayed double weight (obs/window.h) — and has the inclusive upper bound
+/// `le_of(i)`, ascending in i; its lower bound is le_of(i - 1) (0 for the
+/// first). When known, `min_value`/`max_value` tighten the first/last
+/// occupied bucket and clamp the result; pass +inf/-inf (the
+/// empty-histogram defaults) to skip. Returns NaN when every bucket is
+/// empty.
 ///
 /// Error bound: the true quantile lies in the same bucket as the estimate,
 /// so the relative error is bounded by the bucket's relative width: <= 1%
 /// for hdr buckets, a factor of 2 for the base-2 buckets of older files
 /// (see docs/observability.md).
+template <typename WeightFn, typename LeFn>
+double estimate_quantile(std::size_t num_buckets, WeightFn weight_of, LeFn le_of, double q,
+                         double min_value, double max_value) {
+  using Weight = decltype(weight_of(std::size_t{0}));
+  Weight total{};
+  std::size_t last_occupied = 0;
+  for (std::size_t i = 0; i < num_buckets; ++i) {
+    const Weight w = weight_of(i);
+    if (!(w > Weight{})) continue;
+    total += w;
+    last_occupied = i;
+  }
+  if (!(total > Weight{})) return std::numeric_limits<double>::quiet_NaN();
+  q = std::clamp(q, 0.0, 1.0);
+
+  const double target = q * static_cast<double>(total);
+  double cumulative = 0.0;
+  for (std::size_t i = 0; i <= last_occupied; ++i) {
+    const Weight w = weight_of(i);
+    if (!(w > Weight{})) continue;
+    const double next = cumulative + static_cast<double>(w);
+    if (next < target && i < last_occupied) {
+      cumulative = next;
+      continue;
+    }
+    double lower = i == 0 ? 0.0 : le_of(i - 1);
+    double upper = le_of(i);
+    if (!std::isfinite(upper)) {
+      // Overflow bucket: the observed max is the only finite upper bound
+      // available; without it fall back to doubling (the log2 growth rate).
+      upper = std::isfinite(max_value) ? max_value : lower * 2.0;
+    }
+    // A finite min/max tightens the end buckets (all samples in the first
+    // occupied bucket are >= min, in the last <= max).
+    if (std::isfinite(min_value)) lower = std::max(lower, std::min(min_value, upper));
+    if (std::isfinite(max_value)) upper = std::min(upper, max_value);
+    const double fraction = std::max(0.0, target - cumulative) / static_cast<double>(w);
+    // min/max, not std::clamp: a max read from a file may undercut `lower`.
+    return std::min(std::max(lower + fraction * (upper - lower), lower), upper);
+  }
+  return std::numeric_limits<double>::quiet_NaN();  // unreachable: total > 0
+}
+
+/// estimate_quantile over exported {le, count} buckets, ordered by
+/// ascending `le`.
 double estimate_quantile(const std::vector<HistogramBucket>& buckets, double q,
                          double min_value, double max_value);
 

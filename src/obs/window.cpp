@@ -13,40 +13,6 @@ constexpr std::size_t kNumBuckets = HdrHistogram::kNumBuckets;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Quantile over double-valued bucket weights - the decayed counterpart of
-/// obs::estimate_quantile, kept local because every other consumer works on
-/// integer counts. Same interpolation: find the bucket holding the target
-/// mass, interpolate linearly inside it, tighten the ends with min/max.
-double weighted_quantile(const std::vector<double>& buckets, double q,
-                         double total, double min_value, double max_value) {
-  if (!(total > 0.0)) return std::numeric_limits<double>::quiet_NaN();
-  q = std::clamp(q, 0.0, 1.0);
-  std::size_t last_occupied = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] > 0.0) last_occupied = i;
-  }
-  const double target = q * total;
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] <= 0.0) continue;
-    const double next = cumulative + buckets[i];
-    if (next < target && i < last_occupied) {
-      cumulative = next;
-      continue;
-    }
-    double lower = i == 0 ? 0.0 : HdrHistogram::bucket_upper_bound(i - 1);
-    double upper = HdrHistogram::bucket_upper_bound(i);
-    if (!std::isfinite(upper)) {
-      upper = std::isfinite(max_value) ? max_value : lower * 2.0;
-    }
-    if (std::isfinite(min_value)) lower = std::max(lower, std::min(min_value, upper));
-    if (std::isfinite(max_value)) upper = std::min(upper, max_value);
-    const double fraction = std::max(0.0, target - cumulative) / buckets[i];
-    return std::clamp(lower + fraction * (upper - lower), lower, upper);
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
 }  // namespace
 
 std::int64_t window_now_ms() {
@@ -228,7 +194,9 @@ double DecayingHdrHistogram::weight(std::int64_t now_ms) {
 
 double DecayingHdrHistogram::quantile(double q, std::int64_t now_ms) {
   decay_to(now_ms);
-  return weighted_quantile(buckets_, q, weight_, lifetime_min_, lifetime_max_);
+  return estimate_quantile(
+      buckets_.size(), [&](std::size_t i) { return buckets_[i]; },
+      HdrHistogram::bucket_upper_bound, q, lifetime_min_, lifetime_max_);
 }
 
 // --- WindowedHistogram ------------------------------------------------------

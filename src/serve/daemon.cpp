@@ -379,6 +379,7 @@ void Daemon::handle_arrive(const nfv::Request& request,
     // (the step has released its footprint again). The request holds
     // nothing, so its depart is acknowledged like a rejected one's.
     rejected_pending_.insert(id);
+    ++counters_.internal_errors;
     NFVM_COUNTER_INC("serve.internal_errors");
     write_reply(out, error_reply("internal", e.what(), position));
     return;
@@ -459,6 +460,7 @@ void Daemon::emit_stats(std::ostream& out) {
       .field("departed", counters_.departed)
       .field("parse_errors", counters_.parse_errors)
       .field("invalid_requests", counters_.invalid_requests)
+      .field("internal_errors", counters_.internal_errors)
       .field("snapshots_written", counters_.snapshots_written)
       .field("active", active_.size())
       .field("p50_us", service_us_.count() > 0 ? service_us_.quantile(0.50) : 0.0)

@@ -83,6 +83,7 @@ std::string to_json(const Snapshot& snapshot) {
   w.key("departed").value(snapshot.counters.departed);
   w.key("parse_errors").value(snapshot.counters.parse_errors);
   w.key("invalid_requests").value(snapshot.counters.invalid_requests);
+  w.key("internal_errors").value(snapshot.counters.internal_errors);
   w.key("snapshots_written").value(snapshot.counters.snapshots_written);
   w.end_object();
   w.key("active").begin_array();
@@ -212,6 +213,9 @@ Snapshot load_snapshot(const std::string& path) {
     snapshot.counters.departed = load_u64(counters, "departed");
     snapshot.counters.parse_errors = load_u64(counters, "parse_errors");
     snapshot.counters.invalid_requests = load_u64(counters, "invalid_requests");
+    // Added after the schema's first release: an older snapshot lacks it.
+    snapshot.counters.internal_errors =
+        counters.has("internal_errors") ? load_u64(counters, "internal_errors") : 0;
     snapshot.counters.snapshots_written = load_u64(counters, "snapshots_written");
     for (const obs::JsonValue& entry : doc.at("active").array) {
       ActiveEntry active;

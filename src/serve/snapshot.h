@@ -54,6 +54,7 @@ struct ServeCounters {
   std::uint64_t departed = 0;          ///< depart -> released
   std::uint64_t parse_errors = 0;      ///< malformed JSON lines
   std::uint64_t invalid_requests = 0;  ///< well-formed but semantically bad
+  std::uint64_t internal_errors = 0;   ///< arrive -> engine fault ("internal")
   std::uint64_t snapshots_written = 0;
 };
 

@@ -3,6 +3,7 @@
 // the serve daemon), using a controllable fake algorithm.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -11,6 +12,7 @@
 #include "core/online.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
+#include "serve/snapshot.h"
 #include "sim/simulator.h"
 #include "sim/soak.h"
 #include "util/rng.h"
@@ -187,17 +189,20 @@ TEST(OnlineBase, DaemonAnswersBogusTreeWithErrorAndServesOn) {
   std::istringstream in(serve::arrive_line(simple_request(1)) + "\n" +
                         serve::arrive_line(simple_request(2)) + "\n" +
                         serve::depart_line(1) + "\n" + serve::depart_line(2) +
-                        "\n{\"cmd\":\"stats\"}\n");
+                        "\n{\"cmd\":\"stats\"}\n{\"cmd\":\"snapshot\"}\n");
   serve::IstreamLineSource source(in);
   std::ostringstream out;
-  serve::Daemon daemon(algo, {}, serve::DaemonOptions{});
+  serve::DaemonOptions options;
+  options.snapshot_path = testing::TempDir() + "online_base_bogus_tree.snap.json";
+  serve::Daemon daemon(algo, {}, options);
   const serve::DaemonStats stats = daemon.run(source, out);
 
   std::vector<std::string> replies;
   std::istringstream lines(out.str());
   for (std::string line; std::getline(lines, line);) replies.push_back(line);
-  ASSERT_EQ(replies.size(), 5u);
-  EXPECT_EQ(stats.replies_emitted, 5u);
+  ASSERT_EQ(replies.size(), 6u);
+  EXPECT_EQ(stats.replies_emitted, 6u);
+  EXPECT_EQ(stats.counters.internal_errors, 1u);
   EXPECT_EQ(replies[0].rfind("{\"ok\":false,\"error\":\"internal\"", 0), 0u) << replies[0];
   EXPECT_NE(replies[0].find("invalid pseudo-multicast tree"), std::string::npos);
   EXPECT_EQ(replies[1].rfind("{\"ok\":true", 0), 0u) << replies[1];
@@ -206,6 +211,20 @@ TEST(OnlineBase, DaemonAnswersBogusTreeWithErrorAndServesOn) {
   EXPECT_NE(replies[2].find("\"released\":false"), std::string::npos) << replies[2];
   EXPECT_NE(replies[3].find("\"released\":true"), std::string::npos) << replies[3];
   EXPECT_EQ(replies[4].rfind("{\"ok\":true,\"cmd\":\"stats\"", 0), 0u) << replies[4];
+  EXPECT_NE(replies[4].find("\"internal_errors\":1,"), std::string::npos) << replies[4];
+  // The count survives a snapshot round trip; a snapshot written before the
+  // field existed reads it as 0.
+  serve::Snapshot snapshot = serve::load_snapshot(options.snapshot_path);
+  EXPECT_EQ(snapshot.counters.internal_errors, 1u);
+  std::string old_text = serve::to_json(snapshot);
+  const std::string field = "\"internal_errors\":1,";
+  ASSERT_NE(old_text.find(field), std::string::npos) << old_text;
+  old_text.erase(old_text.find(field), field.size());
+  {
+    std::ofstream old_file(options.snapshot_path, std::ios::trunc);
+    old_file << old_text;
+  }
+  EXPECT_EQ(serve::load_snapshot(options.snapshot_path).counters.internal_errors, 0u);
   EXPECT_EQ(stats.active, 0u);
   for (graph::EdgeId e = 0; e < t.graph.num_edges(); ++e) {
     EXPECT_DOUBLE_EQ(algo.resources().residual_bandwidth(e), t.link_bandwidth[e]);

@@ -208,7 +208,6 @@ TEST(OnlineWeightedView, PatchRepairsOnlyTreesTheChangeReaches) {
         state.bandwidth_capacity(e) - state.residual_bandwidth(e);
     return topo.graph.weight(e) + consumed / 1000.0;
   });
-  view.set_policy(ViewPolicy::kForceIncremental);  // pin the cache machinery
 
   const std::vector<graph::VertexId> sources = {0, 1};
   const auto first = view.trees_for(state, sources, 50.0);
@@ -220,7 +219,7 @@ TEST(OnlineWeightedView, PatchRepairsOnlyTreesTheChangeReaches) {
   nfv::Footprint fp;
   fp.bandwidth = {{2, 100.0}};  // consume on e2 only
   state.allocate(fp);
-  view.apply_allocate(fp);
+  view.patch(fp);
 
   const auto second = view.trees_for(state, sources, 50.0);
   EXPECT_NE(second[0].get(), first[0].get());  // contained e2: repaired
@@ -230,7 +229,7 @@ TEST(OnlineWeightedView, PatchRepairsOnlyTreesTheChangeReaches) {
   nfv::Footprint fp2;
   fp2.bandwidth = {{2, 500.0}};
   state.allocate(fp2);
-  view.apply_allocate(fp2);
+  view.patch(fp2);
   const auto third = view.trees_for(state, sources, 50.0);
   EXPECT_EQ(third[0]->parent_edge[2], 1u);  // rerouted around the hot link
 }
@@ -242,15 +241,12 @@ TEST(OnlineWeightedView, AllocationWithoutWeightChangeKeepsCache) {
   // never dirty the cache.
   OnlineWeightedView view(topo,
                           [&](graph::EdgeId e) { return topo.graph.weight(e); });
-  // Pin the incremental cache: these tests assert cache mechanics, and the
-  // adaptive policy would (correctly) pick rebuild mode on a 4-edge graph.
-  view.set_policy(ViewPolicy::kForceIncremental);
   const std::vector<graph::VertexId> sources = {0};
   const auto first = view.trees_for(state, sources, 50.0);
   nfv::Footprint fp;
   fp.bandwidth = {{0, 100.0}, {1, 100.0}, {2, 100.0}, {3, 100.0}};
   state.allocate(fp);
-  view.apply_allocate(fp);
+  view.patch(fp);
   const auto second = view.trees_for(state, sources, 50.0);
   EXPECT_EQ(second[0].get(), first[0].get());
 }
@@ -260,17 +256,14 @@ TEST(OnlineWeightedView, ReleaseKeepsTreesItLeavesExact) {
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo,
                           [&](graph::EdgeId e) { return topo.graph.weight(e); });
-  // Pin the incremental cache: these tests assert cache mechanics, and the
-  // adaptive policy would (correctly) pick rebuild mode on a 4-edge graph.
-  view.set_policy(ViewPolicy::kForceIncremental);
   const std::vector<graph::VertexId> sources = {0, 1};
   const auto first = view.trees_for(state, sources, 50.0);
   nfv::Footprint fp;
   fp.bandwidth = {{3, 100.0}};
   state.allocate(fp);
-  view.apply_allocate(fp);
+  view.patch(fp);
   state.release(fp);
-  view.apply_release(fp);
+  view.patch(fp);
   // Neither weights nor eligibility moved, so the same trees are served.
   const auto second = view.trees_for(state, sources, 50.0);
   EXPECT_EQ(second[0].get(), first[0].get());
@@ -282,14 +275,11 @@ TEST(OnlineWeightedView, LowerBandwidthThresholdForcesRecompute) {
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo,
                           [&](graph::EdgeId e) { return topo.graph.weight(e); });
-  // Pin the incremental cache: these tests assert cache mechanics, and the
-  // adaptive policy would (correctly) pick rebuild mode on a 4-edge graph.
-  view.set_policy(ViewPolicy::kForceIncremental);
   // Leave e2 (0-2, the tree from 0's edge to 2) 70 Mbps of residual.
   nfv::Footprint fp;
   fp.bandwidth = {{2, 930.0}};
   state.allocate(fp);
-  view.apply_allocate(fp);
+  view.patch(fp);
   const std::vector<graph::VertexId> sources = {0};
   const auto at_100 = view.trees_for(state, sources, 100.0);
   EXPECT_EQ(at_100[0]->parent_edge[2], 1u);  // e2 ineligible: around it
@@ -307,9 +297,6 @@ TEST(OnlineWeightedView, IneligibleTreeEdgeForcesRecompute) {
   nfv::ResourceState state(topo);
   OnlineWeightedView view(topo,
                           [&](graph::EdgeId e) { return topo.graph.weight(e); });
-  // Pin the incremental cache: these tests assert cache mechanics, and the
-  // adaptive policy would (correctly) pick rebuild mode on a 4-edge graph.
-  view.set_policy(ViewPolicy::kForceIncremental);
   const std::vector<graph::VertexId> sources = {0};
   const auto before = view.trees_for(state, sources, 50.0);
   ASSERT_EQ(before[0]->parent_edge[2], 2u);  // uses e2
@@ -319,7 +306,7 @@ TEST(OnlineWeightedView, IneligibleTreeEdgeForcesRecompute) {
   nfv::Footprint fp;
   fp.bandwidth = {{2, 960.0}};
   state.allocate(fp);
-  view.apply_allocate(fp);
+  view.patch(fp);
   const auto after = view.trees_for(state, sources, 50.0);
   EXPECT_NE(after[0].get(), before[0].get());
   EXPECT_EQ(after[0]->parent_edge[2], 1u);  // rerouted: e2 now ineligible
@@ -336,25 +323,20 @@ TEST(OnlineWeightedView, RepeatedSourcesRunOneDijkstraEach) {
   const topo::Topology topo = triangle_tail_topology();
   nfv::ResourceState state(topo);
   const std::vector<graph::VertexId> sources = {0, 2, 0, 3, 2, 2};
-  for (const ViewPolicy policy :
-       {ViewPolicy::kForceIncremental, ViewPolicy::kForceRebuild}) {
-    OnlineWeightedView view(
-        topo, [&](graph::EdgeId e) { return topo.graph.weight(e); });
-    view.set_policy(policy);
-    const std::uint64_t runs_before = counter_value("graph.dijkstra.runs");
-    const auto trees = view.trees_for(state, sources, 50.0);
+  OnlineWeightedView view(topo, [&](graph::EdgeId e) { return topo.graph.weight(e); });
+  const std::uint64_t runs_before = counter_value("graph.dijkstra.runs");
+  const auto trees = view.trees_for(state, sources, 50.0);
 #if NFVM_OBS
-    EXPECT_EQ(counter_value("graph.dijkstra.runs") - runs_before, 3u);
+  EXPECT_EQ(counter_value("graph.dijkstra.runs") - runs_before, 3u);
 #else
-    (void)runs_before;
+  (void)runs_before;
 #endif
-    ASSERT_EQ(trees.size(), sources.size());
-    EXPECT_EQ(trees[2].get(), trees[0].get());
-    EXPECT_EQ(trees[4].get(), trees[1].get());
-    EXPECT_EQ(trees[5].get(), trees[1].get());
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      EXPECT_EQ(trees[i]->source, sources[i]);
-    }
+  ASSERT_EQ(trees.size(), sources.size());
+  EXPECT_EQ(trees[2].get(), trees[0].get());
+  EXPECT_EQ(trees[4].get(), trees[1].get());
+  EXPECT_EQ(trees[5].get(), trees[1].get());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(trees[i]->source, sources[i]);
   }
 }
 

@@ -230,7 +230,7 @@ TEST(ServeSnapshot, ViewWeightsAreAPureFunctionOfRestoredResiduals) {
     nfv::Footprint fp;
     fp.bandwidth = {{i, 55.5}, {i + 3, 27.25}};
     live.allocate(fp);
-    patched.apply_allocate(fp);
+    patched.patch(fp);
   }
   ASSERT_GT(patched.patches_applied(), 0u);
 

@@ -360,7 +360,6 @@ std::vector<ShortestPaths> drive_view(const topo::Topology& topo) {
     const double used = 1.0 - state.residual_bandwidth(e) / state.bandwidth_capacity(e);
     return std::pow(beta, used);
   });
-  view.set_policy(core::ViewPolicy::kForceIncremental);
 
   util::Rng rng(2024);
   const std::size_t n = topo.graph.num_vertices();
@@ -407,7 +406,7 @@ std::vector<ShortestPaths> drive_view(const topo::Topology& topo) {
     if (!active.empty() && rng.bernoulli(0.45)) {
       const std::size_t k = rng.next_below(active.size());
       state.release(active[k]);
-      view.apply_release(active[k]);
+      view.patch(active[k]);
       active.erase(active.begin() + static_cast<std::ptrdiff_t>(k));
       continue;
     }
@@ -423,7 +422,7 @@ std::vector<ShortestPaths> drive_view(const topo::Topology& topo) {
     }
     if (!fp.bandwidth.empty() && state.can_allocate(fp)) {
       state.allocate(fp);
-      view.apply_allocate(fp);
+      view.patch(fp);
       active.push_back(std::move(fp));
     }
   }
@@ -436,7 +435,6 @@ TEST(SpRepair, WaxmanViewServesFreshTreesAtOneAndFourThreads) {
   topo::WaxmanOptions options;
   options.target_mean_degree = 4.0;
   const topo::Topology topo = topo::make_waxman(100, topo_rng, options);
-  ASSERT_GE(topo.graph.num_edges(), core::OnlineWeightedView::kPolicyMinEdges);
 
   std::vector<std::vector<ShortestPaths>> runs;
   for (std::size_t threads : {1u, 4u}) {

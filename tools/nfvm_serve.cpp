@@ -307,6 +307,7 @@ void emit_summary(const serve::DaemonStats& stats) {
       .field("departed", stats.counters.departed)
       .field("parse_errors", stats.counters.parse_errors)
       .field("invalid_requests", stats.counters.invalid_requests)
+      .field("internal_errors", stats.counters.internal_errors)
       .field("snapshots_written", stats.counters.snapshots_written)
       .field("active", stats.active)
       .field("wall_s", stats.wall_seconds)
